@@ -20,7 +20,7 @@ from .errors import (
     SetCountCapError,
 )
 from .formats import from_edge_list, from_graph6, to_edge_list, to_graph6
-from .graphs import Graph, fan_graph, line_graph, path_graph, cycle_graph, theta_graph, wheel_graph
+from .graphs import Graph, bits, fan_graph, line_graph, path_graph, cycle_graph, theta_graph, wheel_graph
 from .independence import DEFAULT_SET_CAP, independence_report
 from .iso import is_isomorphic
 from .linegraphs import seed_from_line_graph
@@ -74,21 +74,10 @@ def _print_slide_graph(sg: SlideGraph, rep, fmt: str) -> None:
         print(f"i={rep.i} alpha={rep.alpha} i-sets={len(rep.i_sets)} "
               f"alpha-sets={len(rep.alpha_sets)} maximal-independent-sets={rep.total_mis_count}")
         for idx, node in enumerate(sg.nodes):
-            vs = ",".join(str(v) for v in _bits_list(node))
+            vs = ",".join(str(v) for v in bits(node))
             print(f"node {idx}: {{{vs}}}")
         for a, b, x, y in sg.edges:
             print(f"edge {a} -- {b}  (slide {x} -> {y})")
-
-
-def _bits_list(mask: int) -> list[int]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
 
 
 def cmd_compute(args) -> int:

@@ -85,6 +85,8 @@ def from_graph6(text: str) -> Graph:
         if not 0 <= val < 64:
             raise FormatError(f"invalid graph6 byte {ch!r}")
         bitstream.extend((val >> k) & 1 for k in range(5, -1, -1))
+    if any(bitstream[n * (n - 1) // 2:]):
+        raise FormatError("graph6 padding bits must be zero")
     edges = []
     idx = 0
     for v in range(1, n):

@@ -3,8 +3,8 @@
 Enumeration branches on the lowest-index vertex not yet dominated: every
 maximal independent set must pick a dominator from that vertex's closed
 neighborhood.  Candidates already tried at a branch point are banned deeper
-in the tree, so each set is produced exactly once.  Output-sensitive and
-allocation-free apart from the result list.
+in the tree, so each set is produced exactly once.  Output-sensitive;
+pending branches wait on an explicit stack.
 """
 from __future__ import annotations
 
@@ -23,25 +23,23 @@ def maximal_independent_sets(g: Graph, cap: int = DEFAULT_SET_CAP) -> list[int]:
     adj = g.adj
     closed = [adj[v] | (1 << v) for v in range(g.n)]
     out: list[int] = []
-
-    def branch(chosen: int, dominated: int, banned: int) -> None:
-        if dominated == full:
-            if len(out) >= cap:
-                raise SetCountCapError(f"more than {cap} maximal independent sets")
-            out.append(chosen)
-            return
-        v = (~dominated & full)
+    stack = [(0, 0, 0)]
+    while stack:
+        chosen, dominated, banned = stack.pop()
+        v = ~dominated & full
         v = (v & -v).bit_length() - 1
         cands = closed[v] & ~dominated & ~banned
         while cands:
             low = cands & -cands
-            u = low.bit_length() - 1
-            branch(chosen | low, dominated | closed[u], banned)
+            dom = dominated | closed[low.bit_length() - 1]
+            if dom != full:
+                stack.append((chosen | low, dom, banned))
+            elif len(out) < cap:
+                out.append(chosen | low)
+            else:
+                raise SetCountCapError(f"more than {cap} maximal independent sets")
             banned |= low
             cands ^= low
-        return
-
-    branch(0, 0, 0)
     return out
 
 
@@ -68,10 +66,6 @@ def independence_report(g: Graph, cap: int = DEFAULT_SET_CAP) -> IndependenceRep
     i_sets = tuple(sorted(s for s, k in zip(sets, sizes) if k == i))
     alpha_sets = tuple(sorted(s for s, k in zip(sets, sizes) if k == alpha))
     return IndependenceReport(i, alpha, i_sets, alpha_sets, len(sets))
-
-
-def i_number(g: Graph) -> int:
-    return independence_report(g).i
 
 
 def triangle_isets_of_complement(gbar: Graph) -> list[int]:

@@ -71,11 +71,6 @@ def trace_faces(g: Graph, rot: RotationSystem) -> list[list[tuple[int, int]]]:
     return faces
 
 
-def euler_genus_is_zero(g: Graph, rot: RotationSystem) -> bool:
-    faces = trace_faces(g, rot)
-    return g.n - g.edge_count() + len(faces) == 2
-
-
 def planar_dual(g: Graph, rot: RotationSystem) -> Graph:
     dual, _ = planar_dual_with_rotation(g, rot)
     return dual

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import InvalidParameterError
 from .formats import to_dot
@@ -36,6 +37,28 @@ class SlideGraph:
         return len(self.nodes)
 
 
+def slide_rows(adj: Sequence[int], nodes: Sequence[int]) -> list[int]:
+    """Skeleton rows of the slide graph over ``nodes``, equal-size vertex
+    sets of the graph with adjacency rows ``adj``: bit ``b`` of row ``a`` is
+    set when ``nodes[a]`` and ``nodes[b]`` differ in one vertex on each side
+    and those two vertices are adjacent.  Compares every pair of sets."""
+    m = len(nodes)
+    size = nodes[0].bit_count()
+    rows = [0] * m
+    for a in range(m):
+        sa = nodes[a]
+        for b in range(a + 1, m):
+            sb = nodes[b]
+            if (sa & sb).bit_count() != size - 1:
+                continue
+            x = (sa & ~sb).bit_length() - 1
+            y = (sb & ~sa).bit_length() - 1
+            if adj[x] >> y & 1:
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+    return rows
+
+
 def build_slide_graph(g: Graph, family: list[int]) -> SlideGraph:
     """Slide graph over an explicit family of equal-size vertex subsets of g."""
     nodes = sorted(set(family))
@@ -48,23 +71,15 @@ def build_slide_graph(g: Graph, family: list[int]) -> SlideGraph:
             raise InvalidParameterError("set uses vertices outside the graph")
         if s.bit_count() != size:
             raise InvalidParameterError("mixed set cardinalities in family")
+    rows = slide_rows(g.adj, nodes)
     edges = []
-    rows = [0] * len(nodes)
-    m = len(nodes)
-    for a in range(m):
+    for a, row in enumerate(rows):
         sa = nodes[a]
-        for b in range(a + 1, m):
-            sb = nodes[b]
-            if (sa & sb).bit_count() != size - 1:
+        for b in bits(row):
+            if b < a:
                 continue
-            x = sa & ~sb
-            y = sb & ~sa
-            xi = x.bit_length() - 1
-            yi = y.bit_length() - 1
-            if g.adj[xi] >> yi & 1:
-                edges.append((a, b, xi, yi))
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
+            sb = nodes[b]
+            edges.append((a, b, (sa & ~sb).bit_length() - 1, (sb & ~sa).bit_length() - 1))
     skeleton = Graph._from_rows(rows)
     return SlideGraph(g, tuple(nodes), tuple(edges), skeleton)
 
@@ -81,18 +96,14 @@ def alpha_graph(g: Graph, cap: int = DEFAULT_SET_CAP) -> SlideGraph:
 
 # -- structural checks -------------------------------------------------
 
-def structural_violations(sg: SlideGraph, max_nodes: int = 200) -> list[str]:
+def structural_violations(sg: SlideGraph) -> list[str]:
     """Check the distance and triangle laws every slide graph must satisfy.
 
     Returns human-readable violation strings (empty list when clean).
-    Applied to graphs with at most ``max_nodes`` nodes; larger instances are
-    skipped silently since the all-pairs scan is quadratic.
     """
     out: list[str] = []
     nodes = sg.nodes
     m = len(nodes)
-    if m > max_nodes:
-        return out
 
     for a, b, x, y in sg.edges:
         diff = nodes[a] ^ nodes[b]

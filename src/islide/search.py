@@ -1,12 +1,12 @@
 """Bounded exhaustive search over labeled graphs for i-graph seeds.
 
 The scan enumerates every labeled simple graph on up to eight vertices by
-upper-triangle bitmask (column-major, the graph6 bit order), computes its
-family of minimum maximal independent sets inline, and compares the slide
-skeleton against the targets through two cheap rejections (set count, then
-degree multiset) before paying for a canonical-form check.  Witnesses are
-reported in (n, bitmask) order, so results do not depend on how the scan is
-sharded across workers.
+upper-triangle bitmask (column-major, the graph6 bit order) and runs the
+library's own i-graph kernels on each: ``maximal_independent_sets`` filtered
+to minimum size, then ``slide_rows`` for the skeleton.  Two exact
+isomorphism invariants (set count, then degree sequence) reject most graphs
+before a canonical-form check.  Witnesses are reported in (n, bitmask)
+order, so results do not depend on how the scan is sharded across workers.
 """
 from __future__ import annotations
 
@@ -18,8 +18,9 @@ from multiprocessing import Pool
 from .errors import InvalidParameterError
 from .formats import to_graph6
 from .graphs import Graph
+from .independence import maximal_independent_sets
 from .iso import canonical_key
-from .reconfig import build_slide_graph
+from .reconfig import slide_rows
 
 _SCAN_MAX_N = 8
 _CHUNK_BITS = 15
@@ -57,10 +58,10 @@ def enumerate_labeled_graphs(n: int, connected_only: bool = False):
         raise InvalidParameterError(f"n={n} outside 1..{_SCAN_MAX_N}")
     pairs = _pairs(n)
     for mask in range(1 << len(pairs)):
-        rows = _rows_from_mask(n, pairs, mask)
-        if connected_only and not _connected(rows, n):
+        g = Graph._from_rows(_rows_from_mask(n, pairs, mask))
+        if connected_only and not g.is_connected():
             continue
-        yield Graph._from_rows(rows)
+        yield g
 
 
 def _pairs(n: int) -> list[tuple[int, int]]:
@@ -79,107 +80,45 @@ def _rows_from_mask(n: int, pairs: list[tuple[int, int]], mask: int) -> list[int
     return rows
 
 
-def _connected(rows: list[int], n: int) -> bool:
-    full = (1 << n) - 1
-    seen = 1
-    frontier = 1
-    while frontier:
-        grow = 0
-        mm = frontier
-        while mm:
-            low = mm & -mm
-            grow |= rows[low.bit_length() - 1]
-            mm ^= low
-        frontier = grow & ~seen
-        seen |= frontier
-    return seen == full
-
-
-def _min_isets(rows: list[int], full: int) -> list[int]:
-    """Minimum-size maximal independent sets of the graph given by rows."""
-    closed = [rows[v] | (1 << v) for v in range(full.bit_count())]
-    sets: list[int] = []
-    stack = [(0, 0, 0)]
-    while stack:
-        chosen, dominated, banned = stack.pop()
-        if dominated == full:
-            sets.append(chosen)
-            continue
-        free = ~dominated & full
-        v = (free & -free).bit_length() - 1
-        cands = closed[v] & ~dominated & ~banned
-        ban = banned
-        while cands:
-            low = cands & -cands
-            u = low.bit_length() - 1
-            stack.append((chosen | low, dominated | closed[u], ban))
-            ban |= low
-            cands ^= low
-    best = min(s.bit_count() for s in sets)
-    return sorted(s for s in sets if s.bit_count() == best)
-
-
-def _skeleton_rows(isets: list[int], rows: list[int]) -> list[int]:
-    m = len(isets)
-    size = isets[0].bit_count()
-    skel = [0] * m
-    for a in range(m):
-        sa = isets[a]
-        for b in range(a + 1, m):
-            sb = isets[b]
-            if (sa & sb).bit_count() != size - 1:
-                continue
-            x = (sa & ~sb).bit_length() - 1
-            y = (sb & ~sa).bit_length() - 1
-            if rows[x] >> y & 1:
-                skel[a] |= 1 << b
-                skel[b] |= 1 << a
-    return skel
-
-
 def _prepare_target(t: Graph) -> tuple[int, tuple[int, ...], tuple[int, bytes]]:
     return t.n, t.degree_sequence(), canonical_key(t)
 
 
 def _scan_chunk(args) -> tuple[int, list[tuple[int, int, int]]]:
-    n, start, stop, connected_only, prepared, use_filters = args
+    n, start, stop, connected_only, prepared = args
     pairs = _pairs(n)
-    full = (1 << n) - 1
     counts = {p[0] for p in prepared}
     examined = 0
     hits: list[tuple[int, int, int]] = []
     for mask in range(start, stop):
-        rows = _rows_from_mask(n, pairs, mask)
-        if connected_only and not _connected(rows, n):
+        g = Graph._from_rows(_rows_from_mask(n, pairs, mask))
+        if connected_only and not g.is_connected():
             continue
         examined += 1
-        isets = _min_isets(rows, full)
-        if use_filters and len(isets) not in counts:
+        sets = maximal_independent_sets(g)
+        best = min(map(int.bit_count, sets))
+        isets = [s for s in sets if s.bit_count() == best]
+        if len(isets) not in counts:
             continue
-        skel = None
-        degseq = None
+        skel = Graph._from_rows(slide_rows(g.adj, isets))
+        degseq = skel.degree_sequence()
         skel_key = None
         for idx, (order, dseq, ckey) in enumerate(prepared):
-            if use_filters and len(isets) != order:
-                continue
-            if skel is None:
-                skel = _skeleton_rows(isets, rows)
-                degseq = tuple(sorted(r.bit_count() for r in skel))
-            if use_filters and degseq != dseq:
+            if order != len(isets) or dseq != degseq:
                 continue
             if skel_key is None:
-                skel_key = canonical_key(Graph._from_rows(skel))
+                skel_key = canonical_key(skel)
             if skel_key == ckey:
                 hits.append((n, mask, idx))
     return examined, hits
 
 
-def _chunks(max_n: int, connected_only: bool, prepared, use_filters):
+def _chunks(max_n: int, connected_only: bool, prepared):
     for n in range(1, max_n + 1):
         total = 1 << (n * (n - 1) // 2)
         step = min(total, 1 << _CHUNK_BITS)
         for start in range(0, total, step):
-            yield (n, start, min(start + step, total), connected_only, prepared, use_filters)
+            yield (n, start, min(start + step, total), connected_only, prepared)
 
 
 def scan_for_targets(
@@ -188,7 +127,6 @@ def scan_for_targets(
     connected_only: bool = False,
     jobs: int = 1,
     stop_at_first: bool = False,
-    use_filters: bool = True,
 ) -> list[SearchReport]:
     """One pass over all labeled graphs up to max_n, matched against every
     target at once.  Returns one report per target, witnesses in (n, mask)
@@ -203,7 +141,7 @@ def scan_for_targets(
     prepared = tuple(_prepare_target(t) for t in targets)
     examined = 0
     hits: list[tuple[int, int, int]] = []
-    chunk_iter = _chunks(max_n, connected_only, prepared, use_filters)
+    chunk_iter = _chunks(max_n, connected_only, prepared)
     if jobs > 1:
         with Pool(jobs) as pool:
             for exa, hh in pool.imap(_scan_chunk, chunk_iter, chunksize=1):
@@ -242,7 +180,6 @@ def find_seed(
     connected_only: bool = False,
     find_all: bool = False,
     jobs: int = 1,
-    use_filters: bool = True,
 ) -> SearchReport:
     """Scan for seeds whose i-graph is isomorphic to the target; the first
     witness in (n, mask) order is kept unless find_all asks for every one."""
@@ -252,7 +189,6 @@ def find_seed(
         connected_only=connected_only,
         jobs=jobs,
         stop_at_first=not find_all,
-        use_filters=use_filters,
     )[0]
     if not find_all and report.witnesses:
         report = SearchReport(

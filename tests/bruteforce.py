@@ -28,6 +28,31 @@ def brute_maximal_independent_sets(g: Graph) -> set[int]:
     return out
 
 
+def brute_slide_rows(g: Graph, family: list[int]) -> list[int]:
+    """Skeleton rows over family (in the given order), checking every pair
+    of sets as vertex sets: one vertex leaves, one enters, along an edge."""
+    edges = set(g.edges())
+    members = [{v for v in range(g.n) if s >> v & 1} for s in family]
+    rows = [0] * len(family)
+    for a, b in itertools.combinations(range(len(family)), 2):
+        left = members[a] - members[b]
+        entered = members[b] - members[a]
+        if len(left) == len(entered) == 1:
+            x, y = left.pop(), entered.pop()
+            if (min(x, y), max(x, y)) in edges:
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+    return rows
+
+
+def brute_labeled_graphs(n: int):
+    """Every labeled graph on n vertices, in the scan's order: bit i of the
+    counter decides the i-th pair of the column-major upper triangle."""
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    for mask in range(1 << len(pairs)):
+        yield Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
 def brute_is_isomorphic(g: Graph, h: Graph) -> bool:
     """All-permutations check; n <= 8 or so."""
     if g.n != h.n or g.edge_count() != h.edge_count():

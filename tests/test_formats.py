@@ -39,6 +39,8 @@ def test_graph6_rejects():
     with pytest.raises(FormatError):
         from_graph6("Bwx")  # trailing junk
     with pytest.raises(FormatError):
+        from_graph6("Bx")  # non-zero padding bit
+    with pytest.raises(FormatError):
         to_graph6(Graph(63))
     # header prefix accepted
     assert from_graph6(">>graph6<<Bw") == complete_graph(3)

@@ -1,8 +1,11 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from islide import (
+    Graph,
     InvalidParameterError,
     cartesian_product,
     complete_graph,
@@ -27,7 +30,7 @@ from islide import (
 )
 from islide.seeds import house_seed
 
-from bruteforce import random_graph
+from bruteforce import brute_maximal_independent_sets, brute_slide_rows, random_graph
 
 
 def test_cycle4_isets_do_not_slide():
@@ -88,6 +91,67 @@ def test_structural_invariants_random():
     for _ in range(80):
         g = random_graph(rng, rng.randint(1, 9), rng.random())
         assert structural_violations(i_graph(g)) == []
+
+
+def test_structural_invariants_beyond_200_nodes():
+    g = complete_graph(3)
+    for _ in range(4):
+        g = disjoint_union(g, complete_graph(3))
+    sg = i_graph(g)
+    assert sg.node_count() == 243
+    assert structural_violations(sg) == []
+    # the check runs at this size: dropping one slide is reported
+    a, b, _, _ = sg.edges[0]
+    rows = list(sg.skeleton.adj)
+    rows[a] &= ~(1 << b)
+    rows[b] &= ~(1 << a)
+    broken = dataclasses.replace(sg, edges=sg.edges[1:], skeleton=Graph._from_rows(rows))
+    assert structural_violations(broken)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [p for p, keep in zip(pairs, present) if keep])
+
+
+@st.composite
+def graphs_with_families(draw):
+    g = draw(small_graphs())
+    kind = draw(st.sampled_from(["i", "alpha", "any"]))
+    if kind == "any":
+        # arbitrary equal-size sets: for maximal independent sets a one-vertex
+        # difference already forces the two vertices to be adjacent
+        k = draw(st.integers(1, g.n))
+        subsets = st.sets(st.integers(0, g.n - 1), min_size=k, max_size=k).map(mask_of)
+        family = draw(st.lists(subsets, min_size=1, max_size=12, unique=True))
+    else:
+        sets = brute_maximal_independent_sets(g)
+        size = (min if kind == "i" else max)(s.bit_count() for s in sets)
+        family = [s for s in sets if s.bit_count() == size]
+    return g, sorted(family)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_families())
+def test_slide_graph_matches_bruteforce(case):
+    g, family = case
+    sg = build_slide_graph(g, family)
+    rows = brute_slide_rows(g, family)
+    assert sg.nodes == tuple(family)
+    assert sg.skeleton.adj == tuple(rows)
+
+    def only_in(s, t):
+        (v,) = [v for v in range(g.n) if s >> v & 1 and not t >> v & 1]
+        return v
+
+    expected = [
+        (a, b, only_in(family[a], family[b]), only_in(family[b], family[a]))
+        for a in range(len(family)) for b in range(a + 1, len(family)) if rows[a] >> b & 1
+    ]
+    assert list(sg.edges) == expected
 
 
 def test_star_center_degree_bounded_by_i():

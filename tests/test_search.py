@@ -3,6 +3,7 @@ import json
 import pytest
 
 from islide import (
+    Graph,
     InvalidParameterError,
     complete_graph,
     confirm_non_realizable,
@@ -18,6 +19,13 @@ from islide import (
     wheel_graph,
 )
 from islide.seeds import house_seed
+
+from bruteforce import (
+    brute_is_isomorphic,
+    brute_labeled_graphs,
+    brute_maximal_independent_sets,
+    brute_slide_rows,
+)
 
 
 def test_enumeration_counts():
@@ -68,12 +76,27 @@ def test_diamond_has_no_seed_up_to_six():
     assert rep.graphs_examined == sum(1 << (n * (n - 1) // 2) for n in range(1, 7))
 
 
-def test_filters_do_not_change_results():
-    for target in (cycle_graph(4), theta_graph(1, 2, 3)):
-        fast = find_seed(target, max_n=5, find_all=True, use_filters=True)
-        slow = find_seed(target, max_n=5, find_all=True, use_filters=False)
-        assert [w.adj for w in fast.witnesses] == [w.adj for w in slow.witnesses]
-        assert fast.graphs_examined == slow.graphs_examined
+def test_scan_matches_bruteforce_oracle():
+    # witnesses in (n, mask) order are exactly the labeled graphs whose
+    # oracle i-graph is isomorphic to the target
+    targets = (cycle_graph(4), theta_graph(1, 2, 3))
+    expected = {t: [] for t in targets}
+    examined = 0
+    for n in range(1, 6):
+        for g in brute_labeled_graphs(n):
+            examined += 1
+            sets = brute_maximal_independent_sets(g)
+            best = min(s.bit_count() for s in sets)
+            isets = sorted(s for s in sets if s.bit_count() == best)
+            skel = Graph._from_rows(brute_slide_rows(g, isets))
+            for t in targets:
+                if brute_is_isomorphic(skel, t):
+                    expected[t].append(g)
+    for t in targets:
+        rep = find_seed(t, max_n=5, find_all=True)
+        assert expected[t]
+        assert [w.adj for w in rep.witnesses] == [g.adj for g in expected[t]]
+        assert rep.graphs_examined == examined
 
 
 def test_parallel_scan_matches_serial():
