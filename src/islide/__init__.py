@@ -92,6 +92,7 @@ from .seeds import (
     ConstructionTrace,
     SeedResult,
     SeedVerification,
+    TableReport,
     THETA_EXCEPTIONS,
     applicable_constructions,
     apply_deletion,
@@ -101,16 +102,15 @@ from .seeds import (
     planar_seed,
     planar_seed_with_trace,
     theta_specs_up_to,
+    verify_table,
     verify_theta_seed,
 )
 from .search import (
     SearchReport,
-    TableReport,
     confirm_non_realizable,
     enumerate_labeled_graphs,
     find_seed,
     scan_for_targets,
-    verify_table,
 )
 
 __version__ = "0.1.0"

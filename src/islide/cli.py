@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 domain verdict (not realizable, witness found under
 --expect-none, lemma failure, seed rejection), 2 usage or parse error,
-3 resource cap exceeded.
+3 resource cap exceeded (set count, graph6 output size, theta order).
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import json
 import sys
 
 from .errors import (
+    CapacityError,
     DiamondFoundError,
     FormatError,
     GraphError,
@@ -32,7 +33,7 @@ from .reconfig import (
     slide_graph_to_json,
 )
 from .search import confirm_non_realizable, find_seed
-from .seeds import build_theta_seed_complement, planar_seed, verify_theta_seed
+from .seeds import build_theta_seed_complement, check_seed, planar_seed
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -118,7 +119,7 @@ def cmd_seed(args) -> int:
         payload["seed_graph6"] = to_graph6(g)
         print(json.dumps(payload, indent=2, sort_keys=True))
     if args.verify:
-        verification = verify_theta_seed(args.j, args.k, args.l)
+        verification = check_seed(result)
         for clause in verification.clauses:
             mark = "pass" if clause.passed else "FAIL"
             print(f"{mark} {clause.name}: {clause.detail}")
@@ -129,26 +130,22 @@ def cmd_seed(args) -> int:
 
 def cmd_lemmas(args) -> int:
     failures = 0
-    for k in range(4, args.wheel_max + 1):
-        g = wheel_graph(k).complement()
-        rep = independence_report(g)
-        ig = build_slide_graph(g, list(rep.i_sets))
-        ag = build_slide_graph(g, list(rep.alpha_sets))
-        ok = is_isomorphic(ig.skeleton, cycle_graph(k)) and is_isomorphic(
-            ag.skeleton, cycle_graph(k)
-        )
-        failures += not ok
-        print(f"{'pass' if ok else 'FAIL'} wheel rim {k}: i-graph and alpha-graph ~ C_{k}")
-    for k in range(2, args.fan_max + 1):
-        g = fan_graph(k).complement()
-        rep = independence_report(g)
-        ig = build_slide_graph(g, list(rep.i_sets))
-        ag = build_slide_graph(g, list(rep.alpha_sets))
-        ok = is_isomorphic(ig.skeleton, path_graph(k - 1)) and is_isomorphic(
-            ag.skeleton, path_graph(k - 1)
-        )
-        failures += not ok
-        print(f"{'pass' if ok else 'FAIL'} fan {k}: i-graph and alpha-graph ~ P_{k-1}")
+    families = (
+        ("wheel rim", wheel_graph, lambda k: (f"C_{k}", cycle_graph(k)),
+         range(4, args.wheel_max + 1)),
+        ("fan", fan_graph, lambda k: (f"P_{k - 1}", path_graph(k - 1)),
+         range(2, args.fan_max + 1)),
+    )
+    for name, seed, target, sizes in families:
+        for k in sizes:
+            g = seed(k).complement()
+            rep = independence_report(g)
+            ig = build_slide_graph(g, list(rep.i_sets))
+            ag = build_slide_graph(g, list(rep.alpha_sets))
+            shape, want = target(k)
+            ok = is_isomorphic(ig.skeleton, want) and is_isomorphic(ag.skeleton, want)
+            failures += not ok
+            print(f"{'pass' if ok else 'FAIL'} {name} {k}: i-graph and alpha-graph ~ {shape}")
     from .search import enumerate_labeled_graphs
 
     checked = 0
@@ -201,10 +198,7 @@ def cmd_lineseed(args) -> int:
     h = _read_graph(args)
     try:
         g = seed_from_line_graph(h)
-    except DiamondFoundError as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return EXIT_VERDICT
-    except NotALineGraphError as exc:
+    except (DiamondFoundError, NotALineGraphError) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_VERDICT
     rep = independence_report(g)
@@ -293,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except SetCountCapError as exc:
+    except (SetCountCapError, CapacityError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (FormatError, InvalidParameterError, InvalidThetaSpecError,

@@ -10,7 +10,8 @@ class InvalidParameterError(GraphError):
 
 
 class CapacityError(GraphError):
-    """The 64-vertex bitset capacity would be exceeded."""
+    """A size limit would be exceeded: the 64-vertex bitset capacity, or the
+    62-vertex graph6 form on output."""
 
 
 class FormatError(GraphError):

@@ -2,12 +2,13 @@
 
 Edge list format: first line is the vertex count, then one ``u v`` pair per
 line, 0-indexed.  graph6 follows the published byte layout with the size
-restricted to n <= 62 so the header is always a single byte; larger graphs
-are rejected rather than silently switching to the multi-byte form.
+restricted to n <= 62 so the header is always a single byte.  Writing a
+larger graph raises CapacityError (an output limit); reading a multi-byte
+size form raises FormatError (unsupported input).
 """
 from __future__ import annotations
 
-from .errors import FormatError
+from .errors import CapacityError, FormatError
 from .graphs import Graph
 
 _G6_MAX = 62
@@ -46,7 +47,7 @@ def from_edge_list(text: str) -> Graph:
 
 def to_graph6(g: Graph) -> str:
     if g.n > _G6_MAX:
-        raise FormatError(f"graph6 one-byte form limited to {_G6_MAX} vertices")
+        raise CapacityError(f"graph6 one-byte form limited to {_G6_MAX} vertices")
     out = [chr(g.n + 63)]
     acc = 0
     nbits = 0

@@ -208,82 +208,3 @@ def confirm_non_realizable(target: Graph, max_n: int = 7, jobs: int = 1) -> Sear
     a graph believed non-realizable means an implementation bug or a wrong
     claim, and callers treat it as fatal."""
     return scan_for_targets([target], max_n, jobs=jobs, stop_at_first=False)[0]
-
-
-# -- the full realizability table ---------------------------------------
-
-@dataclass(frozen=True)
-class TableEntry:
-    spec: tuple[int, int, int]
-    outcome: str  # "verified" | "exception" | "failed"
-    construction_id: str | None
-    detail: str
-
-
-@dataclass(frozen=True)
-class TableReport:
-    max_total: int
-    entries: tuple[TableEntry, ...]
-    corroboration: tuple[SearchReport, ...]
-    passed: bool
-    failures: tuple[str, ...]
-
-
-def verify_table(max_total: int, corroborate_max_n: int = 7, jobs: int = 1) -> TableReport:
-    """Check the realizability table for every theta graph on at most
-    max_total vertices: realizable specs must verify end to end, and each
-    exception must come back not-realizable and (when corroborate_max_n > 0)
-    survive an exhaustive seed scan with zero witnesses."""
-    from .graphs import theta
-    from .seeds import (
-        THETA_EXCEPTIONS,
-        build_theta_seed_complement,
-        theta_specs_up_to,
-        verify_theta_seed,
-    )
-
-    if not 3 <= max_total <= 26:
-        raise InvalidParameterError("max_total must lie in 3..26")
-    entries: list[TableEntry] = []
-    failures: list[str] = []
-    exception_targets: list[Graph] = []
-    for spec in theta_specs_up_to(max_total):
-        j, k, l = spec.as_tuple()
-        if spec.as_tuple() in THETA_EXCEPTIONS:
-            res = build_theta_seed_complement(j, k, l)
-            ok = res.verdict == "not_realizable"
-            entries.append(
-                TableEntry(spec.as_tuple(), "exception" if ok else "failed", None,
-                           res.reason or "")
-            )
-            if not ok:
-                failures.append(f"{spec}: expected a not-realizable verdict")
-            if spec.order <= 8:
-                exception_targets.append(theta(spec))
-            continue
-        verification = verify_theta_seed(j, k, l)
-        if verification.passed:
-            entries.append(
-                TableEntry(spec.as_tuple(), "verified", verification.construction_id, "")
-            )
-        else:
-            detail = "; ".join(
-                f"{c.name}: {c.detail}" for c in verification.failures()
-            )
-            entries.append(
-                TableEntry(spec.as_tuple(), "failed", verification.construction_id, detail)
-            )
-            failures.append(f"{spec}: {detail}")
-    corroboration: tuple[SearchReport, ...] = ()
-    if corroborate_max_n > 0 and exception_targets:
-        reports = scan_for_targets(exception_targets, corroborate_max_n, jobs=jobs)
-        corroboration = tuple(reports)
-        for rep in reports:
-            if rep.found:
-                failures.append(
-                    f"FATAL: witness found for claimed non-realizable target "
-                    f"{to_graph6(rep.target)}"
-                )
-    return TableReport(
-        max_total, tuple(entries), corroboration, not failures, tuple(failures)
-    )

@@ -9,12 +9,24 @@ attached path of v-vertices supplies the third, and apex vertices are glued
 onto unwanted triangles to knock them out of the i-set family (at the price
 of creating a K_4, which bumps alpha to 4 and breaks the alpha-graph
 analogue for those arms).
+
+The catalog is one ordered table, ``_ARMS``, most specific arm first.  A row
+gives the specs (j, k, l) the arm covers, the draft that names and joins the
+vertices of gbar, the rim pair whose triangle with the hub is the far pole Y
+(the near pole X is always the triangle w0, w1, w2), the labels of the
+triangles along the attached path as a function of l, and alpha of the
+seed.  Dispatch (``applicable_constructions``), the arm ids
+(``CONSTRUCTION_IDS``) and the one builder (``_build``) all read that
+table.  LINE_ROOT (the complement of a line-graph root) and G_334 (a fixed
+9-vertex seed) are the two rows not drafted from a wheel.
 """
 from __future__ import annotations
 
 import json
 import re
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .errors import (
     DeletionPreconditionError,
@@ -25,12 +37,14 @@ from .errors import (
     NotCubicError,
     NotPlanarEmbeddingError,
 )
+from .formats import to_graph6
 from .graphs import Graph, ThetaSpec, bits, mask_of, theta
 from .independence import independence_report, triangle_isets_of_complement
 from .iso import is_isomorphic
 from .linegraphs import seed_from_line_graph
 from .planar import RotationSystem, planar_dual, trace_faces
 from .reconfig import build_slide_graph
+from .search import SearchReport, scan_for_targets
 
 THETA_EXCEPTIONS: dict[tuple[int, int, int], str] = {
     (1, 2, 2): "diamond = theta(1,2,2)",
@@ -41,12 +55,6 @@ THETA_EXCEPTIONS: dict[tuple[int, int, int], str] = {
     (2, 3, 4): "theta(2,3,4)",
     (3, 3, 3): "theta(3,3,3)",
 }
-
-CONSTRUCTION_IDS = (
-    "C_1kl", "C_22l_a", "C_22l_b", "C_23l_a", "C_23l_b", "C_244", "C_2k5",
-    "C_2kl", "G_334", "C_335", "C_33l", "C_344", "C_34l", "C_355", "C_444",
-    "C_jk5", "C_jkl", "HOUSE", "LINE_ROOT", "PLANAR_DUAL",
-)
 
 
 @dataclass(frozen=True)
@@ -60,9 +68,14 @@ class ConstructionTrace:
     names: dict[str, int]
     expected_labels: dict[str, int]
     expected_order: int
-    alpha_equal: bool
     expected_i: int = 3
     expected_alpha: int = 3
+
+    @property
+    def alpha_equal(self) -> bool:
+        """The alpha-graph is the i-graph exactly when alpha equals i, since
+        then every maximal independent set has the same size."""
+        return self.expected_alpha == self.expected_i
 
     def to_json(self) -> str:
         payload = {
@@ -117,30 +130,23 @@ class _Draft:
         self._adj: dict[str, set[str]] = {}
         self.rim: list[str] = []
 
-    def add(self, name: str) -> None:
+    def add(self, name: str, *nbrs: str) -> None:
         if name in self._adj:
             raise InvalidParameterError(f"duplicate vertex {name}")
         self._adj[name] = set()
+        for other in nbrs:
+            self.edge(name, other)
 
     def edge(self, a: str, b: str) -> None:
         self._adj[a].add(b)
         self._adj[b].add(a)
 
-    def delete_edge(self, a: str, b: str) -> None:
-        self._adj[a].discard(b)
-        self._adj[b].discard(a)
-
-    def delete(self, name: str) -> None:
-        for other in self._adj.pop(name):
-            self._adj[other].discard(name)
-
     def subdivide(self, a: str, b: str, new: str) -> None:
         if b not in self._adj[a]:
             raise InvalidParameterError(f"cannot subdivide missing edge {a}-{b}")
-        self.delete_edge(a, b)
-        self.add(new)
-        self.edge(a, new)
-        self.edge(new, b)
+        self._adj[a].discard(b)
+        self._adj[b].discard(a)
+        self.add(new, a, b)
         if a in self.rim and b in self.rim:
             ia, ib = self.rim.index(a), self.rim.index(b)
             m = len(self.rim)
@@ -149,9 +155,8 @@ class _Draft:
             elif (ib + 1) % m == ia:
                 self.rim.insert(ia, new)
 
-    def freeze(self, order: list[str] | None = None) -> tuple[Graph, dict[str, int]]:
-        if order is None:
-            order = sorted(self._adj, key=_name_key)
+    def freeze(self) -> tuple[Graph, dict[str, int]]:
+        order = sorted(self._adj, key=_name_key)
         names = {name: i for i, name in enumerate(order)}
         edges = []
         for a, nbrs in self._adj.items():
@@ -164,13 +169,11 @@ class _Draft:
 def _wheel_draft(rim_count: int) -> _Draft:
     d = _Draft()
     d.add("w0")
-    rim = [f"w{i}" for i in range(1, rim_count + 1)]
-    for name in rim:
-        d.add(name)
-        d.edge("w0", name)
-    for i, name in enumerate(rim):
-        d.edge(name, rim[(i + 1) % rim_count])
-    d.rim = rim
+    d.rim = [f"w{i}" for i in range(1, rim_count + 1)]
+    for name in d.rim:
+        d.add(name, "w0")
+    for a, b in zip(d.rim, d.rim[1:] + d.rim[:1]):
+        d.edge(a, b)
     return d
 
 
@@ -185,13 +188,13 @@ def _chain_subdivide(d: _Draft, anchor: str, other: str, new_names: list[str]) -
 
 
 def _wheel_side_labels(
-    rim: list[str], x_pair: tuple[str, str], y_pair: tuple[str, str]
+    rim: list[str], y_pair: tuple[str, str]
 ) -> dict[str, tuple[str, ...]]:
-    """Name the wheel triangles: X at x_pair, Y at y_pair, A_* walking forward
-    from X, B_* walking backward."""
+    """Name the wheel triangles: X at w1, w2, Y at y_pair, A_* walking
+    forward from X, B_* walking backward."""
     m = len(rim)
     ix = next(
-        i for i in range(m) if {rim[i], rim[(i + 1) % m]} == set(x_pair)
+        i for i in range(m) if {rim[i], rim[(i + 1) % m]} == {"w1", "w2"}
     )
     labels: dict[str, tuple[str, ...]] = {
         "X": ("w0", rim[ix], rim[(ix + 1) % m]),
@@ -223,224 +226,110 @@ def _wheel_side_labels(
     return labels
 
 
-def _finish(
-    construction_id: str,
-    spec: ThetaSpec,
-    d: _Draft,
-    label_names: dict[str, tuple[str, ...]],
-    alpha_equal: bool,
-    expected_alpha: int,
-) -> SeedResult:
-    gbar, names = d.freeze()
-    labels = {
-        tag: mask_of(names[v] for v in triple) for tag, triple in label_names.items()
-    }
-    trace = ConstructionTrace(
-        construction_id=construction_id,
-        params=spec.as_tuple(),
-        names=names,
-        expected_labels=labels,
-        expected_order=spec.order,
-        alpha_equal=alpha_equal,
-        expected_i=3,
-        expected_alpha=expected_alpha,
-    )
-    return SeedResult("realizable", gbar, trace)
+# -- drafts and path labels of the wheel arms ---------------------------
+
+def _path_names(l: int) -> list[str]:
+    """The attached path w2, v1, ..., v{l-3}; index i holds v_i."""
+    return ["w2"] + [f"v{i}" for i in range(1, l - 2)]
 
 
-# -- path-family label recipes -----------------------------------------
+def _attach_path(d: _Draft, l: int, hook: str, corner: str) -> None:
+    """Path w2, v1, ..., v{l-3} with w1 fanned onto v1..v{l-4}, a chord
+    from v{l-5} (w2 when l = 5) to v{l-3}, hook joined to the last two path
+    vertices and corner to the last one."""
+    vs = _path_names(l)
+    for prev, name in zip(vs, vs[1:]):
+        d.add(name, prev)
+    for name in vs[1:l - 3]:
+        d.edge("w1", name)
+    d.edge(vs[l - 5], vs[l - 3])
+    d.edge(hook, vs[l - 4])
+    d.edge(hook, vs[l - 3])
+    d.edge(corner, vs[l - 3])
 
-def _d_labels_1kl(l: int) -> dict[str, tuple[str, ...]]:
-    out = {"D_1": ("w2", "w1", "v1")}
-    for i in range(2, l - 1):
-        out[f"D_{i}"] = ("w2", f"v{i - 1}", f"v{i}")
-    out[f"D_{l - 1}"] = ("w2", f"v{l - 2}", "w3")
+
+def _path_labels(l: int, hook: str, corner: str) -> dict[str, tuple[str, ...]]:
+    """The triangles along the path of _attach_path: w1-fanned ones, one on
+    three path vertices, then the hand-off through hook to corner."""
+    vs = _path_names(l)
+    out = {f"D_{i}": ("w1", vs[i - 1], vs[i]) for i in range(1, l - 3)}
+    out[f"D_{l - 3}"] = (vs[l - 5], vs[l - 4], vs[l - 3])
+    out[f"D_{l - 2}"] = (hook, vs[l - 4], vs[l - 3])
+    out[f"D_{l - 1}"] = (corner, hook, vs[l - 3])
     return out
 
 
-def _d_labels_long_tail(l: int, hook: str, corner: str) -> dict[str, tuple[str, ...]]:
-    """Tail pattern shared by the 2,2,l / 2,3,l / 2,k,l and 3,3,l / j,k,l arms:
-    a w1-fanned path ending in a triangle that hands off through hook to the
-    corner pair of the wheel."""
-    out = {"D_1": ("w1", "w2", "v1")}
-    for i in range(2, l - 3):
-        out[f"D_{i}"] = ("w1", f"v{i - 1}", f"v{i}")
-    out[f"D_{l - 3}"] = (f"v{l - 5}", f"v{l - 4}", f"v{l - 3}")
-    out[f"D_{l - 2}"] = (hook, f"v{l - 4}", f"v{l - 3}")
-    out[f"D_{l - 1}"] = (corner, hook, f"v{l - 3}")
-    return out
-
-
-_D_SHORT = {
-    "D_1": ("w1", "w2", "v1"),
-    "D_2": ("w2", "v1", "v2"),
-    "D_3": ("w4", "v1", "v2"),
-    "D_4": ("w3", "w4", "v2"),
-}
-
-_D_MID = {
-    "D_1": ("w1", "w2", "v1"),
-    "D_2": ("w2", "v1", "v2"),
-    "D_3": ("w5", "v1", "v2"),
-    "D_4": ("w4", "w5", "v2"),
-}
-
-_D_FLAP = {
-    "D_1": ("w1", "w2", "v"),
-    "D_2": ("w1", "w4", "v"),
-    "D_3": ("w3", "w4", "v"),
-}
-
-
-# -- the construction catalog ------------------------------------------
-
-def _draft_1kl(k: int, l: int) -> _Draft:
+def _draft_1kl(j: int, k: int, l: int) -> _Draft:
+    """Wheel on k+1 rim vertices plus the path w1, v1, ..., v{l-2}, w3 with
+    every v joined to w2."""
     d = _wheel_draft(k + 1)
     vs = [f"v{i}" for i in range(1, l - 1)]
-    prev = None
     for name in vs:
-        d.add(name)
-        d.edge("w2", name)
-        if prev:
-            d.edge(prev, name)
-        prev = name
-    d.edge("v1", "w1")
-    d.edge(vs[-1], "w3")
+        d.add(name, "w2")
+    for a, b in zip(["w1"] + vs, vs + ["w3"]):
+        d.edge(a, b)
     return d
 
 
-def _build_1kl(spec: ThetaSpec) -> SeedResult:
-    _, k, l = spec.as_tuple()
-    d = _draft_1kl(k, l)
-    labels = _wheel_side_labels(d.rim, ("w1", "w2"), ("w2", "w3"))
-    labels.update(_d_labels_1kl(l))
-    return _finish("C_1kl", spec, d, labels, alpha_equal=True, expected_alpha=3)
+def _labels_1kl(l: int) -> dict[str, tuple[str, ...]]:
+    path = ["w1"] + [f"v{i}" for i in range(1, l - 1)] + ["w3"]
+    return {f"D_{i}": ("w2", path[i - 1], path[i]) for i in range(1, l)}
 
 
-def _draft_22l_a(l: int) -> _Draft:
+def _draft_2kl(j: int, k: int, l: int) -> _Draft:
+    """Wheel on four rim vertices with the path attached (Y at w3, w4), rim
+    edge w1-w4 stretched into w1, w{k+2}, ..., w5, w4, and apex z2 on the
+    triangle w2, w3, v2 the path makes when l = 5."""
     d = _wheel_draft(4)
-    vs = [f"v{i}" for i in range(1, l - 2)]
-    prev = None
-    for name in vs:
-        d.add(name)
-        if prev:
-            d.edge(prev, name)
-        prev = name
-    for i in range(1, l - 3):
-        d.edge("w1", f"v{i}")
-    d.edge(f"v{l - 5}", f"v{l - 3}")
-    d.edge("w2", "v1")
-    d.edge("w3", f"v{l - 3}")
-    d.edge("w4", f"v{l - 4}")
-    d.edge("w4", f"v{l - 3}")
-    d.add("z")
-    for x in ("w1", "w4", f"v{l - 4}"):
-        d.edge("z", x)
+    _attach_path(d, l, "w4", "w3")
+    if l == 5:
+        d.add("z2", "v2", "w2", "w3")
+    _chain_subdivide(d, "w1", "w4", [f"w{i}" for i in range(5, k + 3)])
     return d
 
 
-def _draft_22l_b() -> _Draft:
-    d = _wheel_draft(4)
-    for name in ("v1", "v2"):
-        d.add(name)
-    d.edge("v1", "v2")
-    d.edge("w1", "v1")
-    d.edge("w2", "v1")
-    d.edge("w2", "v2")
-    d.edge("w3", "v2")
-    d.edge("w4", "v1")
-    d.edge("w4", "v2")
-    d.add("z1")
-    for x in ("v1", "w1", "w4"):
-        d.edge("z1", x)
-    d.add("z2")
-    for x in ("v2", "w2", "w3"):
-        d.edge("z2", x)
+def _draft_22l(j: int, k: int, l: int) -> _Draft:
+    """The 2,2,l draft: apex z (z1 when l = 5) on the triangle w1, w4,
+    v{l-4} that the unstretched rim edge w1-w4 closes."""
+    d = _draft_2kl(j, k, l)
+    d.add("z1" if l == 5 else "z", "w1", "w4", f"v{l - 4}")
     return d
 
 
-def _build_22l(spec: ThetaSpec) -> SeedResult:
-    l = spec.l
-    if l >= 6:
-        d = _draft_22l_a(l)
-        arm = "C_22l_a"
-        dd = _d_labels_long_tail(l, hook="w4", corner="w3")
-    else:
-        d = _draft_22l_b()
-        arm = "C_22l_b"
-        dd = dict(_D_SHORT)
-    labels = _wheel_side_labels(d.rim, ("w1", "w2"), ("w3", "w4"))
-    labels.update(dd)
-    return _finish(arm, spec, d, labels, alpha_equal=False, expected_alpha=4)
-
-
-def _draft_23l(l: int) -> _Draft:
-    if l >= 6:
-        d = _draft_22l_a(l)
-        d.subdivide("w1", "w4", "w5")
-        d.edge("w0", "w5")
-        d.delete("z")
-    else:
-        d = _draft_22l_b()
-        d.subdivide("w1", "w4", "w5")
-        d.edge("w0", "w5")
-        d.delete("z1")
-    return d
-
-
-def _build_23l(spec: ThetaSpec) -> SeedResult:
-    l = spec.l
-    d = _draft_23l(l)
-    labels = _wheel_side_labels(d.rim, ("w1", "w2"), ("w3", "w4"))
-    if l >= 6:
-        labels.update(_d_labels_long_tail(l, hook="w4", corner="w3"))
-        return _finish("C_23l_a", spec, d, labels, alpha_equal=True, expected_alpha=3)
-    labels.update(_D_SHORT)
-    return _finish("C_23l_b", spec, d, labels, alpha_equal=False, expected_alpha=4)
-
-
-def _draft_244() -> _Draft:
+def _draft_flap(j: int, k: int, l: int) -> _Draft:
+    """Wheel on six rim vertices with chord w1-w4, the single path vertex v
+    joined to w1..w4 and apex z' on the triangle w0, w1, w4.  Rim edge
+    w2-w3 is stretched into w2, u1, ..., u{j-2}, w3 (on 2,4,4 apex z
+    kills the triangle v, w2, w3 instead) and rim edge w1-w6 into w1,
+    w{l+2}, ..., w7, w6."""
     d = _wheel_draft(6)
     d.edge("w1", "w4")
-    d.add("v")
-    for x in ("w1", "w2", "w3", "w4"):
-        d.edge("v", x)
-    d.add("z")
-    for x in ("v", "w2", "w3"):
-        d.edge("z", x)
-    d.add("z'")
-    for x in ("w0", "w1", "w4"):
-        d.edge("z'", x)
+    d.add("v", "w1", "w2", "w3", "w4")
+    d.add("z'", "w0", "w1", "w4")
+    if j == 2:
+        d.add("z", "v", "w2", "w3")
+    _chain_subdivide(d, "w3", "w2", [f"u{i}" for i in range(1, j - 1)])
+    _chain_subdivide(d, "w1", "w6", [f"w{i}" for i in range(7, l + 3)])
     return d
 
 
-def _build_244(spec: ThetaSpec) -> SeedResult:
-    d = _draft_244()
-    labels = _wheel_side_labels(d.rim, ("w1", "w2"), ("w3", "w4"))
-    labels.update(_D_FLAP)
-    return _finish("C_244", spec, d, labels, alpha_equal=False, expected_alpha=4)
+def _flap_labels(l: int) -> dict[str, tuple[str, ...]]:
+    return {
+        "D_1": ("w1", "w2", "v"),
+        "D_2": ("w1", "w4", "v"),
+        "D_3": ("w3", "w4", "v"),
+    }
 
 
-def _draft_2k5(k: int) -> _Draft:
-    d = _draft_23l(5)
-    _chain_subdivide(d, "w1", "w5", [f"w{i}" for i in range(6, k + 3)])
+def _draft_jkl(j: int, k: int, l: int) -> _Draft:
+    """Wheel on six rim vertices with the path attached (Y at w4, w5), rim
+    edge w1-w6 stretched into w1, w{k+3}, ..., w7, w6 and rim edge w2-w3
+    into w2, u{j-3}, ..., u1, w3."""
+    d = _wheel_draft(6)
+    _attach_path(d, l, "w5", "w4")
+    _chain_subdivide(d, "w1", "w6", [f"w{i}" for i in range(7, k + 4)])
+    _chain_subdivide(d, "w2", "w3", [f"u{i}" for i in range(1, j - 2)])
     return d
-
-
-def _build_2k5(spec: ThetaSpec) -> SeedResult:
-    d = _draft_2k5(spec.k)
-    labels = _wheel_side_labels(d.rim, ("w1", "w2"), ("w3", "w4"))
-    labels.update(_D_SHORT)
-    return _finish("C_2k5", spec, d, labels, alpha_equal=False, expected_alpha=4)
-
-
-def _build_2kl(spec: ThetaSpec) -> SeedResult:
-    k, l = spec.k, spec.l
-    d = _draft_23l(l)
-    _chain_subdivide(d, "w1", "w5", [f"w{i}" for i in range(6, k + 3)])
-    labels = _wheel_side_labels(d.rim, ("w1", "w2"), ("w3", "w4"))
-    labels.update(_d_labels_long_tail(l, hook="w4", corner="w3"))
-    return _finish("C_2kl", spec, d, labels, alpha_equal=True, expected_alpha=3)
 
 
 def seed_graph_334() -> Graph:
@@ -471,211 +360,106 @@ _G334_LABELS = {
 }
 
 
-def _build_334(spec: ThetaSpec) -> SeedResult:
-    g = seed_graph_334()
-    gbar = g.complement()
-    names = {f"v{i}": i for i in range(9)}
-    labels = {tag: mask_of(vs) for tag, vs in _G334_LABELS.items()}
+# -- the construction table ----------------------------------------------
+
+class _Arm(NamedTuple):
+    """One row of the catalog; draft, y_pair and labels are None on the
+    two rows not drafted from a wheel."""
+
+    covers: Callable[[int, int, int], bool]
+    draft: Callable[[int, int, int], _Draft] | None = None
+    y_pair: tuple[str, str] | None = None
+    labels: Callable[[int], dict[str, tuple[str, ...]]] | None = None
+    alpha: int = 3
+
+
+_Y34 = ("w3", "w4")
+_Y45 = ("w4", "w5")
+_PATH34 = partial(_path_labels, hook="w4", corner="w3")
+_PATH45 = partial(_path_labels, hook="w5", corner="w4")
+
+# most specific first: applicable_constructions keeps this order and the
+# default build takes its first match
+_ARMS: dict[str, _Arm] = {
+    "LINE_ROOT": _Arm(lambda j, k, l: j == 1 and k == 2, alpha=2),
+    "C_1kl": _Arm(lambda j, k, l: j == 1 and k >= 3,
+                  _draft_1kl, ("w2", "w3"), _labels_1kl),
+    "C_22l_b": _Arm(lambda j, k, l: (j, k, l) == (2, 2, 5),
+                    _draft_22l, _Y34, _PATH34, 4),
+    "C_22l_a": _Arm(lambda j, k, l: (j, k) == (2, 2) and l >= 6,
+                    _draft_22l, _Y34, _PATH34, 4),
+    "C_23l_b": _Arm(lambda j, k, l: (j, k, l) == (2, 3, 5),
+                    _draft_2kl, _Y34, _PATH34, 4),
+    "C_23l_a": _Arm(lambda j, k, l: (j, k) == (2, 3) and l >= 6,
+                    _draft_2kl, _Y34, _PATH34),
+    "C_244": _Arm(lambda j, k, l: (j, k, l) == (2, 4, 4),
+                  _draft_flap, _Y34, _flap_labels, 4),
+    "C_2k5": _Arm(lambda j, k, l: j == 2 and k in (4, 5) and l == 5,
+                  _draft_2kl, _Y34, _PATH34, 4),
+    "G_334": _Arm(lambda j, k, l: (j, k, l) == (3, 3, 4), alpha=4),
+    "C_335": _Arm(lambda j, k, l: (j, k, l) == (3, 3, 5),
+                  _draft_jkl, _Y45, _PATH45),
+    "C_33l": _Arm(lambda j, k, l: (j, k) == (3, 3) and l >= 6,
+                  _draft_jkl, _Y45, _PATH45),
+    "C_344": _Arm(lambda j, k, l: (j, k, l) == (3, 4, 4),
+                  _draft_flap, _Y34, _flap_labels, 4),
+    "C_34l": _Arm(lambda j, k, l: (j, k) == (3, 4) and l >= 5,
+                  _draft_flap, _Y34, _flap_labels, 4),
+    "C_355": _Arm(lambda j, k, l: (j, k, l) == (3, 5, 5),
+                  _draft_jkl, _Y45, _PATH45),
+    "C_444": _Arm(lambda j, k, l: (j, k, l) == (4, 4, 4),
+                  _draft_flap, _Y34, _flap_labels, 4),
+    "C_jk5": _Arm(lambda j, k, l: 4 <= j <= k <= 5 and l == 5,
+                  _draft_jkl, _Y45, _PATH45),
+    "C_2kl": _Arm(lambda j, k, l: j == 2 and k >= 4 and l >= 6,
+                  _draft_2kl, _Y34, _PATH34),
+    "C_jkl": _Arm(lambda j, k, l: j >= 3 and l >= 6,
+                  _draft_jkl, _Y45, _PATH45),
+}
+
+CONSTRUCTION_IDS = tuple(_ARMS) + ("HOUSE", "PLANAR_DUAL")
+
+
+def _build(arm: str, spec: ThetaSpec) -> SeedResult:
+    """Seed and trace of one table arm on a spec it covers."""
+    row = _ARMS[arm]
+    j, k, l = spec.as_tuple()
+    expected_i = 3
+    if arm == "LINE_ROOT":
+        gbar = seed_from_line_graph(theta(spec)).complement()
+        names = {f"c{i}": i for i in range(gbar.n)}
+        labels = {}
+        expected_i = 2
+    elif arm == "G_334":
+        gbar = seed_graph_334().complement()
+        names = {f"v{i}": i for i in range(gbar.n)}
+        labels = {tag: mask_of(vs) for tag, vs in _G334_LABELS.items()}
+    else:
+        d = row.draft(j, k, l)
+        gbar, names = d.freeze()
+        triples = _wheel_side_labels(d.rim, row.y_pair)
+        triples.update(row.labels(l))
+        labels = {
+            tag: mask_of(names[v] for v in triple) for tag, triple in triples.items()
+        }
     trace = ConstructionTrace(
-        construction_id="G_334",
+        construction_id=arm,
         params=spec.as_tuple(),
         names=names,
         expected_labels=labels,
         expected_order=spec.order,
-        alpha_equal=False,
-        expected_i=3,
-        expected_alpha=4,
+        expected_i=expected_i,
+        expected_alpha=row.alpha,
     )
     return SeedResult("realizable", gbar, trace)
-
-
-def _draft_335() -> _Draft:
-    d = _wheel_draft(6)
-    d.add("v1")
-    d.add("v2")
-    d.edge("v1", "v2")
-    for x in ("w1", "w2", "w5"):
-        d.edge("v1", x)
-    for x in ("w2", "w4", "w5"):
-        d.edge("v2", x)
-    return d
-
-
-def _build_335(spec: ThetaSpec) -> SeedResult:
-    d = _draft_335()
-    labels = _wheel_side_labels(d.rim, ("w1", "w2"), ("w4", "w5"))
-    labels.update(_D_MID)
-    return _finish("C_335", spec, d, labels, alpha_equal=True, expected_alpha=3)
-
-
-def _draft_33l(l: int) -> _Draft:
-    d = _wheel_draft(6)
-    vs = [f"v{i}" for i in range(1, l - 2)]
-    prev = None
-    for name in vs:
-        d.add(name)
-        if prev:
-            d.edge(prev, name)
-        prev = name
-    for i in range(1, l - 3):
-        d.edge("w1", f"v{i}")
-    d.edge("w2", "v1")
-    d.edge("w4", f"v{l - 3}")
-    d.edge("w5", f"v{l - 4}")
-    d.edge("w5", f"v{l - 3}")
-    d.edge(f"v{l - 5}", f"v{l - 3}")
-    return d
-
-
-def _build_33l(spec: ThetaSpec) -> SeedResult:
-    d = _draft_33l(spec.l)
-    labels = _wheel_side_labels(d.rim, ("w1", "w2"), ("w4", "w5"))
-    labels.update(_d_labels_long_tail(spec.l, hook="w5", corner="w4"))
-    return _finish("C_33l", spec, d, labels, alpha_equal=True, expected_alpha=3)
-
-
-def _draft_344() -> _Draft:
-    d = _draft_244()
-    d.subdivide("w2", "w3", "u1")
-    d.edge("w0", "u1")
-    d.delete("z")
-    return d
-
-
-def _build_344(spec: ThetaSpec) -> SeedResult:
-    d = _draft_344()
-    labels = _wheel_side_labels(d.rim, ("w1", "w2"), ("w3", "w4"))
-    labels.update(_D_FLAP)
-    return _finish("C_344", spec, d, labels, alpha_equal=False, expected_alpha=4)
-
-
-def _build_34l(spec: ThetaSpec) -> SeedResult:
-    d = _draft_344()
-    _chain_subdivide(d, "w1", "w6", [f"w{i}" for i in range(7, spec.l + 3)])
-    labels = _wheel_side_labels(d.rim, ("w1", "w2"), ("w3", "w4"))
-    labels.update(_D_FLAP)
-    return _finish("C_34l", spec, d, labels, alpha_equal=False, expected_alpha=4)
-
-
-def _build_355(spec: ThetaSpec) -> SeedResult:
-    d = _draft_335()
-    _chain_subdivide(d, "w1", "w6", ["w7", "w8"])
-    labels = _wheel_side_labels(d.rim, ("w1", "w2"), ("w4", "w5"))
-    labels.update(_D_MID)
-    return _finish("C_355", spec, d, labels, alpha_equal=True, expected_alpha=3)
-
-
-def _build_444(spec: ThetaSpec) -> SeedResult:
-    d = _draft_344()
-    d.subdivide("u1", "w3", "u2")
-    d.edge("w0", "u2")
-    labels = _wheel_side_labels(d.rim, ("w1", "w2"), ("w3", "w4"))
-    labels.update(_D_FLAP)
-    return _finish("C_444", spec, d, labels, alpha_equal=False, expected_alpha=4)
-
-
-def _build_jk5(spec: ThetaSpec) -> SeedResult:
-    j, k, _ = spec.as_tuple()
-    d = _draft_335()
-    _chain_subdivide(d, "w1", "w6", [f"w{i}" for i in range(7, k + 4)])
-    _chain_subdivide(d, "w2", "w3", [f"u{i}" for i in range(1, j - 2)])
-    labels = _wheel_side_labels(d.rim, ("w1", "w2"), ("w4", "w5"))
-    labels.update(_D_MID)
-    return _finish("C_jk5", spec, d, labels, alpha_equal=True, expected_alpha=3)
-
-
-def _build_jkl(spec: ThetaSpec) -> SeedResult:
-    j, k, l = spec.as_tuple()
-    d = _draft_33l(l)
-    _chain_subdivide(d, "w1", "w6", [f"w{i}" for i in range(7, k + 4)])
-    _chain_subdivide(d, "w2", "w3", [f"u{i}" for i in range(1, j - 2)])
-    labels = _wheel_side_labels(d.rim, ("w1", "w2"), ("w4", "w5"))
-    labels.update(_d_labels_long_tail(l, hook="w5", corner="w4"))
-    return _finish("C_jkl", spec, d, labels, alpha_equal=True, expected_alpha=3)
-
-
-def _build_line_root(spec: ThetaSpec) -> SeedResult:
-    target = theta(spec)
-    seed = seed_from_line_graph(target)
-    gbar = seed.complement()
-    trace = ConstructionTrace(
-        construction_id="LINE_ROOT",
-        params=spec.as_tuple(),
-        names={f"c{i}": i for i in range(gbar.n)},
-        expected_labels={},
-        expected_order=spec.order,
-        alpha_equal=True,
-        expected_i=2,
-        expected_alpha=2,
-    )
-    return SeedResult("realizable", gbar, trace)
-
-
-_BUILDERS = {
-    "C_1kl": _build_1kl,
-    "C_22l_a": _build_22l,
-    "C_22l_b": _build_22l,
-    "C_23l_a": _build_23l,
-    "C_23l_b": _build_23l,
-    "C_244": _build_244,
-    "C_2k5": _build_2k5,
-    "C_2kl": _build_2kl,
-    "G_334": _build_334,
-    "C_335": _build_335,
-    "C_33l": _build_33l,
-    "C_344": _build_344,
-    "C_34l": _build_34l,
-    "C_355": _build_355,
-    "C_444": _build_444,
-    "C_jk5": _build_jk5,
-    "C_jkl": _build_jkl,
-    "LINE_ROOT": _build_line_root,
-}
 
 
 def applicable_constructions(spec: ThetaSpec) -> list[str]:
     """Construction arms covering a realizable spec, most specific first."""
-    j, k, l = spec.as_tuple()
-    if (j, k, l) in THETA_EXCEPTIONS:
+    jkl = spec.as_tuple()
+    if jkl in THETA_EXCEPTIONS:
         return []
-    arms = []
-    if j == 1 and k == 2:
-        arms.append("LINE_ROOT")
-    if j == 1 and k >= 3:
-        arms.append("C_1kl")
-    if (j, k) == (2, 2) and l == 5:
-        arms.append("C_22l_b")
-    if (j, k) == (2, 2) and l >= 6:
-        arms.append("C_22l_a")
-    if (j, k) == (2, 3) and l == 5:
-        arms.append("C_23l_b")
-    if (j, k) == (2, 3) and l >= 6:
-        arms.append("C_23l_a")
-    if (j, k, l) == (2, 4, 4):
-        arms.append("C_244")
-    if j == 2 and k in (4, 5) and l == 5:
-        arms.append("C_2k5")
-    if (j, k, l) == (3, 3, 4):
-        arms.append("G_334")
-    if (j, k, l) == (3, 3, 5):
-        arms.append("C_335")
-    if (j, k) == (3, 3) and l >= 6:
-        arms.append("C_33l")
-    if (j, k, l) == (3, 4, 4):
-        arms.append("C_344")
-    if (j, k) == (3, 4) and l >= 5:
-        arms.append("C_34l")
-    if (j, k, l) == (3, 5, 5):
-        arms.append("C_355")
-    if (j, k, l) == (4, 4, 4):
-        arms.append("C_444")
-    if 4 <= j <= k <= 5 and l == 5:
-        arms.append("C_jk5")
-    if j == 2 and k >= 4 and l >= 6:
-        arms.append("C_2kl")
-    if j >= 3 and l >= 6:
-        arms.append("C_jkl")
-    return arms
+    return [arm for arm, row in _ARMS.items() if row.covers(*jkl)]
 
 
 def theta_specs_up_to(max_order: int) -> list[ThetaSpec]:
@@ -711,10 +495,8 @@ def build_theta_seed_complement(
                 "invalid_spec",
                 reason=f"{construction} does not cover {spec}; options: {arms}",
             )
-        chosen = construction
-    else:
-        chosen = arms[0]
-    return _BUILDERS[chosen](spec)
+        return _build(construction, spec)
+    return _build(arms[0], spec)
 
 
 # -- verification -------------------------------------------------------
@@ -741,16 +523,21 @@ class SeedVerification:
 def verify_theta_seed(
     j: int, k: int, l: int, construction: str | None = None
 ) -> SeedVerification:
-    """Build the seed and check every promise the construction makes:
-    i value, i-graph order, isomorphism to the target theta graph, the
-    labeled i-sets, and the alpha-graph behaviour."""
+    """Build the seed for theta(j,k,l) and check it with check_seed."""
     result = build_theta_seed_complement(j, k, l, construction=construction)
     if not result.is_realizable:
         raise InvalidParameterError(
             f"theta({j},{k},{l}) has no seed here: {result.reason}"
         )
-    spec = ThetaSpec(j, k, l)
+    return check_seed(result)
+
+
+def check_seed(result: SeedResult) -> SeedVerification:
+    """Check every promise a built theta seed makes: i value, i-graph
+    order, isomorphism to the target theta graph, the labeled i-sets, and
+    the alpha-graph behaviour."""
     gbar, trace = result.gbar, result.trace
+    spec = ThetaSpec(*trace.params)
     g = gbar.complement()
     report = independence_report(g)
     target = theta(spec)
@@ -816,6 +603,77 @@ def verify_theta_seed(
     return SeedVerification(spec, trace.construction_id, passed, tuple(clauses), gbar)
 
 
+# -- the full realizability table ---------------------------------------
+
+@dataclass(frozen=True)
+class TableEntry:
+    spec: tuple[int, int, int]
+    outcome: str  # "verified" | "exception" | "failed"
+    construction_id: str | None
+    detail: str
+
+
+@dataclass(frozen=True)
+class TableReport:
+    max_total: int
+    entries: tuple[TableEntry, ...]
+    corroboration: tuple[SearchReport, ...]
+    passed: bool
+    failures: tuple[str, ...]
+
+
+def verify_table(max_total: int, corroborate_max_n: int = 7, jobs: int = 1) -> TableReport:
+    """Check the realizability table for every theta graph on at most
+    max_total vertices: realizable specs must verify end to end, and each
+    exception must come back not-realizable and (when corroborate_max_n > 0)
+    survive an exhaustive seed scan with zero witnesses."""
+    if not 3 <= max_total <= 26:
+        raise InvalidParameterError("max_total must lie in 3..26")
+    entries: list[TableEntry] = []
+    failures: list[str] = []
+    exception_targets: list[Graph] = []
+    for spec in theta_specs_up_to(max_total):
+        j, k, l = spec.as_tuple()
+        if spec.as_tuple() in THETA_EXCEPTIONS:
+            res = build_theta_seed_complement(j, k, l)
+            ok = res.verdict == "not_realizable"
+            entries.append(
+                TableEntry(spec.as_tuple(), "exception" if ok else "failed", None,
+                           res.reason or "")
+            )
+            if not ok:
+                failures.append(f"{spec}: expected a not-realizable verdict")
+            if spec.order <= 8:
+                exception_targets.append(theta(spec))
+            continue
+        verification = verify_theta_seed(j, k, l)
+        if verification.passed:
+            entries.append(
+                TableEntry(spec.as_tuple(), "verified", verification.construction_id, "")
+            )
+        else:
+            detail = "; ".join(
+                f"{c.name}: {c.detail}" for c in verification.failures()
+            )
+            entries.append(
+                TableEntry(spec.as_tuple(), "failed", verification.construction_id, detail)
+            )
+            failures.append(f"{spec}: {detail}")
+    corroboration: tuple[SearchReport, ...] = ()
+    if corroborate_max_n > 0 and exception_targets:
+        reports = scan_for_targets(exception_targets, corroborate_max_n, jobs=jobs)
+        corroboration = tuple(reports)
+        for rep in reports:
+            if rep.found:
+                failures.append(
+                    f"FATAL: witness found for claimed non-realizable target "
+                    f"{to_graph6(rep.target)}"
+                )
+    return TableReport(
+        max_total, tuple(entries), corroboration, not failures, tuple(failures)
+    )
+
+
 # -- house fixture ------------------------------------------------------
 
 def house_seed() -> tuple[Graph, ConstructionTrace]:
@@ -835,7 +693,6 @@ def house_seed() -> tuple[Graph, ConstructionTrace]:
         names=names,
         expected_labels=labels,
         expected_order=5,
-        alpha_equal=True,
         expected_i=2,
         expected_alpha=2,
     )
@@ -918,7 +775,6 @@ def planar_seed_with_trace(
         names={f"f{i}": i for i in range(len(faces))},
         expected_labels={f"v{v}": corners[v] for v in range(g.n)},
         expected_order=len(triangle_isets_of_complement(dual)),
-        alpha_equal=True,
         expected_i=3,
         expected_alpha=3,
     )

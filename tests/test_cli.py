@@ -67,6 +67,26 @@ def test_compute_cap_exit(capsys):
     assert "resource cap" in err
 
 
+def test_compute_graph6_too_large_is_cap_exit(tmp_path, capsys):
+    from islide import Graph
+
+    # 5*K3 on 15 vertices has 3^5 = 243 i-sets, beyond the graph6 one-byte form
+    five_triangles = Graph(15, [(3 * t + a, 3 * t + b) for t in range(5)
+                                for a, b in ((0, 1), (0, 2), (1, 2))])
+    path = tmp_path / "5K3.edges"
+    path.write_text(to_edge_list(five_triangles), encoding="utf-8")
+    code, out, err = run(capsys, "compute", "--input", str(path), "--format", "graph6")
+    assert code == 3
+    assert "resource cap" in err and "62" in err
+    assert out == ""
+
+
+def test_seed_theta_order_is_cap_exit(capsys):
+    code, _, err = run(capsys, "seed", "30", "30", "30")
+    assert code == 3
+    assert "resource cap" in err and "89 vertices" in err
+
+
 def test_seed_verify_pass(capsys):
     code, out, _ = run(capsys, "seed", "1", "4", "5", "--verify")
     assert code == 0

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from islide import (
+    CapacityError,
     FormatError,
     Graph,
     complete_graph,
@@ -40,8 +41,8 @@ def test_graph6_rejects():
         from_graph6("Bwx")  # trailing junk
     with pytest.raises(FormatError):
         from_graph6("Bx")  # non-zero padding bit
-    with pytest.raises(FormatError):
-        to_graph6(Graph(63))
+    with pytest.raises(CapacityError):
+        to_graph6(Graph(63))  # an output limit, not malformed input
     # header prefix accepted
     assert from_graph6(">>graph6<<Bw") == complete_graph(3)
 

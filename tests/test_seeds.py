@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -144,6 +145,19 @@ def test_1kl_seed_matches_hand_transcription():
     assert gbar == expected
     assert to_graph6(gbar) == "H|fJ@Cp"
     assert from_graph6("H|fJ@Cp") == expected
+
+
+def test_catalog_bytes_are_pinned():
+    # every spec of order <= 26 under every arm that covers it: arm id, the
+    # complement seed as graph6 and the trace JSON, 574 lines in all
+    lines = []
+    for spec in theta_specs_up_to(26):
+        for arm in applicable_constructions(spec):
+            r = build_theta_seed_complement(*spec.as_tuple(), construction=arm)
+            lines.append(f"{arm} {to_graph6(r.gbar)} {r.trace.to_json()}")
+    assert len(lines) == 574
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "f4242460b069ea778ef70db727a1005a969ebafd77524584ca8a788735f714d2"
 
 
 def test_verify_examples():
