@@ -20,19 +20,21 @@ from .errors import (
     NotALineGraphError,
     SetCountCapError,
 )
-from .formats import from_edge_list, from_graph6, to_edge_list, to_graph6
+from .formats import from_edge_list, from_graph6, to_dot, to_edge_list, to_graph6
 from .graphs import Graph, bits, fan_graph, line_graph, path_graph, cycle_graph, theta_graph, wheel_graph
 from .independence import DEFAULT_SET_CAP, independence_report
-from .iso import is_isomorphic
+from .iso import contains_induced, is_isomorphic
 from .linegraphs import seed_from_line_graph
 from .planar import parse_rotation_file
 from .reconfig import (
     SlideGraph,
+    alpha_graph,
     build_slide_graph,
+    i_graph,
     slide_graph_to_dot,
     slide_graph_to_json,
 )
-from .search import confirm_non_realizable, find_seed
+from .search import enumerate_labeled_graphs, find_seed
 from .seeds import build_theta_seed_complement, check_seed, planar_seed
 
 EXIT_OK = 0
@@ -109,8 +111,6 @@ def cmd_seed(args) -> int:
         print("seed G = complement(gbar):")
         print(to_edge_list(g), end="")
     elif args.format == "dot":
-        from .formats import to_dot
-
         labels = {idx: name for name, idx in result.trace.names.items()}
         print(to_dot(gbar, labels=labels, name="ComplementSeed"), end="")
     else:
@@ -139,15 +139,11 @@ def cmd_lemmas(args) -> int:
     for name, seed, target, sizes in families:
         for k in sizes:
             g = seed(k).complement()
-            rep = independence_report(g)
-            ig = build_slide_graph(g, list(rep.i_sets))
-            ag = build_slide_graph(g, list(rep.alpha_sets))
             shape, want = target(k)
-            ok = is_isomorphic(ig.skeleton, want) and is_isomorphic(ag.skeleton, want)
+            ok = (is_isomorphic(i_graph(g).skeleton, want)
+                  and is_isomorphic(alpha_graph(g).skeleton, want))
             failures += not ok
             print(f"{'pass' if ok else 'FAIL'} {name} {k}: i-graph and alpha-graph ~ {shape}")
-    from .search import enumerate_labeled_graphs
-
     checked = 0
     bad = 0
     for n in range(2, args.line_max + 1):
@@ -155,11 +151,7 @@ def cmd_lemmas(args) -> int:
             if f.has_triangle():
                 continue
             checked += 1
-            target = line_graph(f)
-            g = f.complement()
-            rep = independence_report(g)
-            ig = build_slide_graph(g, list(rep.i_sets))
-            if not is_isomorphic(ig.skeleton, target):
+            if not is_isomorphic(i_graph(f.complement()).skeleton, line_graph(f)):
                 bad += 1
     failures += bad
     print(
@@ -170,23 +162,9 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.theta:
-        target = theta_graph(*args.theta)
-    elif args.target:
-        target = from_graph6(args.target)
-    else:
-        print("search needs --target or --theta", file=sys.stderr)
-        return EXIT_USAGE
-    if args.expect_none:
-        report = confirm_non_realizable(target, max_n=args.max_n, jobs=args.jobs)
-    else:
-        report = find_seed(
-            target,
-            max_n=args.max_n,
-            connected_only=args.connected,
-            find_all=args.all,
-            jobs=args.jobs,
-        )
+    target = theta_graph(*args.theta) if args.theta else from_graph6(args.target)
+    report = find_seed(target, max_n=args.max_n, connected_only=args.connected,
+                       find_all=args.all or args.expect_none, jobs=args.jobs)
     print(report.to_json())
     if args.expect_none and report.found:
         print("FATAL: witness found for a target expected to have none", file=sys.stderr)
@@ -217,8 +195,6 @@ def cmd_dualseed(args) -> int:
     seed = planar_seed(g, rot)
     rep = independence_report(seed)
     sg = build_slide_graph(seed, list(rep.i_sets))
-    from .iso import contains_induced
-
     contains = contains_induced(sg.skeleton, g)
     print(f"seed graph6: {to_graph6(seed)}")
     print(f"i={rep.i} alpha={rep.alpha} i-sets={len(rep.i_sets)}")
@@ -259,8 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lemmas)
 
     p = sub.add_parser("search", help="exhaustive seed search over small labeled graphs")
-    p.add_argument("--target", help="target as graph6")
-    p.add_argument("--theta", nargs=3, type=int, metavar=("J", "K", "L"))
+    grp = p.add_mutually_exclusive_group(required=True)
+    grp.add_argument("--target", help="target as graph6")
+    grp.add_argument("--theta", nargs=3, type=int, metavar=("J", "K", "L"))
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--connected", action="store_true")
     p.add_argument("--all", action="store_true", help="collect every witness")

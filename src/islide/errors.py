@@ -10,8 +10,9 @@ class InvalidParameterError(GraphError):
 
 
 class CapacityError(GraphError):
-    """A size limit would be exceeded: the 64-vertex bitset capacity, or the
-    62-vertex graph6 form on output."""
+    """A size limit would be exceeded: the 64-vertex capacity of a graph
+    built from a caller's size (``Graph(n, edges)``, a theta spec, a named
+    generator), or the 258047-vertex graph6 size form on output."""
 
 
 class FormatError(GraphError):

@@ -1,17 +1,20 @@
-"""Text formats: edge lists, graph6 (one-byte size form), and DOT output.
+"""Text formats: edge lists, graph6, and DOT output.
 
 Edge list format: first line is the vertex count, then one ``u v`` pair per
-line, 0-indexed.  graph6 follows the published byte layout with the size
-restricted to n <= 62 so the header is always a single byte.  Writing a
-larger graph raises CapacityError (an output limit); reading a multi-byte
-size form raises FormatError (unsupported input).
+line, 0-indexed.  graph6 follows the published byte layout: the size is one
+byte for n <= 62 and ``~`` plus three 6-bit bytes for 63 <= n <= 258047.
+Writing a larger graph raises CapacityError (an output limit).  Reading
+raises FormatError on the 8-byte ``~~`` size form, on a 4-byte form for
+n <= 62 (non-canonical), and on more than MAX_VERTICES vertices, as an edge
+list does.
 """
 from __future__ import annotations
 
 from .errors import CapacityError, FormatError
-from .graphs import Graph
+from .graphs import MAX_VERTICES, Graph
 
-_G6_MAX = 62
+_G6_SHORT = 62
+_G6_MAX = 258047
 
 
 def to_edge_list(g: Graph) -> str:
@@ -47,8 +50,11 @@ def from_edge_list(text: str) -> Graph:
 
 def to_graph6(g: Graph) -> str:
     if g.n > _G6_MAX:
-        raise CapacityError(f"graph6 one-byte form limited to {_G6_MAX} vertices")
-    out = [chr(g.n + 63)]
+        raise CapacityError(f"graph6 4-byte size form limited to {_G6_MAX} vertices")
+    if g.n <= _G6_SHORT:
+        out = [chr(g.n + 63)]
+    else:
+        out = ["~"] + [chr((g.n >> shift & 63) + 63) for shift in (12, 6, 0)]
     acc = 0
     nbits = 0
     for v in range(1, g.n):
@@ -66,36 +72,33 @@ def to_graph6(g: Graph) -> str:
 
 
 def from_graph6(text: str) -> Graph:
-    s = text.strip()
+    s = text.strip().removeprefix(">>graph6<<")
     if not s:
         raise FormatError("empty graph6 string")
-    if s.startswith(">>graph6<<"):
-        s = s[10:]
-    if s[0] == "~":
-        raise FormatError("multi-byte graph6 sizes not supported (n <= 62 only)")
-    n = ord(s[0]) - 63
-    if not 1 <= n <= _G6_MAX:
-        raise FormatError(f"graph6 size byte out of range: {s[0]!r}")
+    bad = [ch for ch in s if not "?" <= ch <= "~"]
+    if bad:
+        raise FormatError(f"invalid graph6 byte {bad[0]!r}")
+    vals = [ord(ch) - 63 for ch in s]
+    if vals[0] < 63:
+        n, body = vals[0], vals[1:]
+    elif vals[1:2] == [63]:
+        raise FormatError("graph6 8-byte size form not supported")
+    elif len(vals) < 4:
+        raise FormatError(f"truncated graph6 4-byte size form: {s!r}")
+    else:
+        n, body = vals[1] << 12 | vals[2] << 6 | vals[3], vals[4:]
+        if n <= _G6_SHORT:
+            raise FormatError(f"non-canonical graph6 4-byte size form for n={n}")
+    if not 1 <= n <= MAX_VERTICES:
+        raise FormatError(f"graph6 vertex count {n} outside 1..{MAX_VERTICES}")
     need = (n * (n - 1) // 2 + 5) // 6
-    body = s[1:]
     if len(body) != need:
         raise FormatError(f"graph6 body has {len(body)} bytes, expected {need}")
-    bitstream = []
-    for ch in body:
-        val = ord(ch) - 63
-        if not 0 <= val < 64:
-            raise FormatError(f"invalid graph6 byte {ch!r}")
-        bitstream.extend((val >> k) & 1 for k in range(5, -1, -1))
+    bitstream = [val >> k & 1 for val in body for k in range(5, -1, -1)]
     if any(bitstream[n * (n - 1) // 2:]):
         raise FormatError("graph6 padding bits must be zero")
-    edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bitstream[idx]:
-                edges.append((u, v))
-            idx += 1
-    return Graph(n, edges)
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    return Graph(n, [pair for pair, bit in zip(pairs, bitstream) if bit])
 
 
 def to_dot(g: Graph, labels: dict[int, str] | None = None, name: str = "G") -> str:

@@ -1,8 +1,12 @@
-"""Simple undirected graphs on at most 64 vertices, stored as bitset rows.
+"""Simple undirected graphs stored as bitset rows.
 
 Vertex subsets are plain Python ints used as bitmasks (bit ``i`` is vertex
 ``i``).  Graphs are immutable after construction and every operation here is
 a pure function, so values can be shared freely between threads.
+
+Sizes that enter from a caller or a file (``Graph(n, edges)``, ``ThetaSpec``,
+the named generators) are capped at MAX_VERTICES = 64; graphs derived from
+existing ones, such as complements, products and slide-graph skeletons, are not.
 """
 from __future__ import annotations
 
@@ -199,8 +203,6 @@ def line_graph(g: Graph) -> Graph:
     es = g.edges()
     if not es:
         raise InvalidParameterError("line graph of an edgeless graph is undefined here")
-    if len(es) > MAX_VERTICES:
-        raise CapacityError(f"line graph would have {len(es)} vertices")
     rows = [0] * len(es)
     for i, (a, b) in enumerate(es):
         for j in range(i + 1, len(es)):
@@ -212,8 +214,6 @@ def line_graph(g: Graph) -> Graph:
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    if g.n + h.n > MAX_VERTICES:
-        raise CapacityError("union exceeds vertex capacity")
     rows = list(g.adj) + [row << g.n for row in h.adj]
     return Graph._from_rows(rows)
 
@@ -223,8 +223,6 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 
     Vertex (a, x) gets index a*h.n + x.
     """
-    if g.n * h.n > MAX_VERTICES:
-        raise CapacityError("product exceeds vertex capacity")
     n = g.n * h.n
     rows = [0] * n
     for a in range(g.n):

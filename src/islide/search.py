@@ -5,14 +5,18 @@ upper-triangle bitmask (column-major, the graph6 bit order) and runs the
 library's own i-graph kernels on each: ``maximal_independent_sets`` filtered
 to minimum size, then ``slide_rows`` for the skeleton.  Two exact
 isomorphism invariants (set count, then degree sequence) reject most graphs
-before a canonical-form check.  Witnesses are reported in (n, bitmask)
-order, so results do not depend on how the scan is sharded across workers.
+before a canonical-form check.  One generator, ``_labeled_graphs``, turns
+masks into graphs everywhere.  One loop consumes the results of chunks of
+2^15 masks in order, through the builtin ``map`` for one job or a process
+pool's ``imap`` for more, so witnesses come out in (n, bitmask) order and an
+early stop ends after the same chunk whatever the number of jobs.
 """
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from multiprocessing import Pool
 
 from .errors import InvalidParameterError
@@ -23,7 +27,7 @@ from .iso import canonical_key
 from .reconfig import slide_rows
 
 _SCAN_MAX_N = 8
-_CHUNK_BITS = 15
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -51,49 +55,40 @@ class SearchReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _labeled_graphs(n: int, start: int, stop: int, connected_only: bool):
+    """Yield ``(mask, graph)`` for each mask in ``range(start, stop)``: bit
+    ``i`` of the mask is the i-th vertex pair in column-major order."""
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    for mask in range(start, stop):
+        rows = [0] * n
+        mm = mask
+        while mm:
+            low = mm & -mm
+            u, v = pairs[low.bit_length() - 1]
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            mm ^= low
+        g = Graph._from_rows(rows)
+        if connected_only and not g.is_connected():
+            continue
+        yield mask, g
+
+
 def enumerate_labeled_graphs(n: int, connected_only: bool = False):
     """Every labeled simple graph on n vertices exactly once, in
     upper-triangle bitmask order.  Hard-capped at n = 8."""
     if not 1 <= n <= _SCAN_MAX_N:
         raise InvalidParameterError(f"n={n} outside 1..{_SCAN_MAX_N}")
-    pairs = _pairs(n)
-    for mask in range(1 << len(pairs)):
-        g = Graph._from_rows(_rows_from_mask(n, pairs, mask))
-        if connected_only and not g.is_connected():
-            continue
+    for _, g in _labeled_graphs(n, 0, 1 << (n * (n - 1) // 2), connected_only):
         yield g
-
-
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for v in range(1, n) for u in range(v)]
-
-
-def _rows_from_mask(n: int, pairs: list[tuple[int, int]], mask: int) -> list[int]:
-    rows = [0] * n
-    mm = mask
-    while mm:
-        low = mm & -mm
-        u, v = pairs[low.bit_length() - 1]
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        mm ^= low
-    return rows
-
-
-def _prepare_target(t: Graph) -> tuple[int, tuple[int, ...], tuple[int, bytes]]:
-    return t.n, t.degree_sequence(), canonical_key(t)
 
 
 def _scan_chunk(args) -> tuple[int, list[tuple[int, int, int]]]:
     n, start, stop, connected_only, prepared = args
-    pairs = _pairs(n)
     counts = {p[0] for p in prepared}
     examined = 0
     hits: list[tuple[int, int, int]] = []
-    for mask in range(start, stop):
-        g = Graph._from_rows(_rows_from_mask(n, pairs, mask))
-        if connected_only and not g.is_connected():
-            continue
+    for mask, g in _labeled_graphs(n, start, stop, connected_only):
         examined += 1
         sets = maximal_independent_sets(g)
         best = min(map(int.bit_count, sets))
@@ -113,14 +108,6 @@ def _scan_chunk(args) -> tuple[int, list[tuple[int, int, int]]]:
     return examined, hits
 
 
-def _chunks(max_n: int, connected_only: bool, prepared):
-    for n in range(1, max_n + 1):
-        total = 1 << (n * (n - 1) // 2)
-        step = min(total, 1 << _CHUNK_BITS)
-        for start in range(0, total, step):
-            yield (n, start, min(start + step, total), connected_only, prepared)
-
-
 def scan_for_targets(
     targets: list[Graph],
     max_n: int,
@@ -138,40 +125,29 @@ def scan_for_targets(
         if t.n > 30:
             raise InvalidParameterError("target order above 30 is out of scope")
     t0 = time.perf_counter()
-    prepared = tuple(_prepare_target(t) for t in targets)
+    prepared = tuple((t.n, t.degree_sequence(), canonical_key(t)) for t in targets)
+    chunks = (
+        (n, start, min(start + _CHUNK, 1 << n * (n - 1) // 2), connected_only, prepared)
+        for n in range(1, max_n + 1)
+        for start in range(0, 1 << n * (n - 1) // 2, _CHUNK)
+    )
     examined = 0
     hits: list[tuple[int, int, int]] = []
-    chunk_iter = _chunks(max_n, connected_only, prepared)
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            for exa, hh in pool.imap(_scan_chunk, chunk_iter, chunksize=1):
-                examined += exa
-                hits.extend(hh)
-                if stop_at_first and _all_found(hits, len(targets)):
-                    break
-            pool.close()
-    else:
-        for chunk in chunk_iter:
-            exa, hh = _scan_chunk(chunk)
+    with Pool(jobs) if jobs > 1 else nullcontext() as pool:
+        for exa, hh in (pool.imap if jobs > 1 else map)(_scan_chunk, chunks):
             examined += exa
             hits.extend(hh)
-            if stop_at_first and _all_found(hits, len(targets)):
+            if stop_at_first and len({i for _, _, i in hits}) == len(targets):
                 break
     elapsed = time.perf_counter() - t0
     reports = []
     for idx, t in enumerate(targets):
-        wit = sorted((n, mask) for (n, mask, i) in hits if i == idx)
-        graphs = tuple(
-            Graph._from_rows(_rows_from_mask(n, _pairs(n), mask)) for n, mask in wit
+        witnesses = tuple(
+            next(_labeled_graphs(n, mask, mask + 1, False))[1]
+            for n, mask, i in sorted(hits) if i == idx
         )
-        reports.append(
-            SearchReport(t, max_n, connected_only, examined, graphs, elapsed)
-        )
+        reports.append(SearchReport(t, max_n, connected_only, examined, witnesses, elapsed))
     return reports
-
-
-def _all_found(hits, count: int) -> bool:
-    return len({i for (_, _, i) in hits}) == count
 
 
 def find_seed(
@@ -183,22 +159,10 @@ def find_seed(
 ) -> SearchReport:
     """Scan for seeds whose i-graph is isomorphic to the target; the first
     witness in (n, mask) order is kept unless find_all asks for every one."""
-    report = scan_for_targets(
-        [target],
-        max_n,
-        connected_only=connected_only,
-        jobs=jobs,
-        stop_at_first=not find_all,
-    )[0]
-    if not find_all and report.witnesses:
-        report = SearchReport(
-            report.target,
-            report.max_n,
-            report.connected_only,
-            report.graphs_examined,
-            report.witnesses[:1],
-            report.elapsed,
-        )
+    report = scan_for_targets([target], max_n, connected_only=connected_only,
+                              jobs=jobs, stop_at_first=not find_all)[0]
+    if not find_all:
+        report = replace(report, witnesses=report.witnesses[:1])
     return report
 
 

@@ -1,6 +1,14 @@
 import json
 
-from islide import cycle_graph, slide_graph_from_json, to_edge_list, to_graph6
+from islide import (
+    cycle_graph,
+    from_graph6,
+    i_graph,
+    path_graph,
+    slide_graph_from_json,
+    to_edge_list,
+    to_graph6,
+)
 from islide.cli import main
 from islide.planar import rotation_to_file
 from islide.seeds import house_seed
@@ -67,24 +75,39 @@ def test_compute_cap_exit(capsys):
     assert "resource cap" in err
 
 
-def test_compute_graph6_too_large_is_cap_exit(tmp_path, capsys):
+def test_compute_graph6_large_igraph(tmp_path, capsys):
     from islide import Graph
 
-    # 5*K3 on 15 vertices has 3^5 = 243 i-sets, beyond the graph6 one-byte form
+    # 5*K3 on 15 vertices has 3^5 = 243 i-sets: graph6 writes the 4-byte size form
     five_triangles = Graph(15, [(3 * t + a, 3 * t + b) for t in range(5)
                                 for a, b in ((0, 1), (0, 2), (1, 2))])
     path = tmp_path / "5K3.edges"
     path.write_text(to_edge_list(five_triangles), encoding="utf-8")
     code, out, err = run(capsys, "compute", "--input", str(path), "--format", "graph6")
-    assert code == 3
-    assert "resource cap" in err and "62" in err
-    assert out == ""
+    assert code == 0 and err == ""
+    line = out.strip()
+    assert line.startswith("~?Br")  # 243 = 3 * 64 + 51
+    assert len(line) == 4 + (243 * 242 // 2 + 5) // 6
+    assert line == to_graph6(i_graph(five_triangles).skeleton)
 
 
 def test_seed_theta_order_is_cap_exit(capsys):
     code, _, err = run(capsys, "seed", "30", "30", "30")
     assert code == 3
     assert "resource cap" in err and "89 vertices" in err
+
+
+def test_seed_63_vertex_seed_json_and_verify(capsys):
+    # theta(21,21,23) has order 64; its complement seed has 63 vertices
+    code, out, _ = run(capsys, "seed", "21", "21", "23")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["gbar_graph6"].startswith("~??~")
+    assert from_graph6(payload["seed_graph6"]) == from_graph6(payload["gbar_graph6"]).complement()
+    code, out, _ = run(capsys, "seed", "21", "21", "23", "--verify")
+    assert code == 0
+    assert "pass i_graph_isomorphic" in out
+    assert "FAIL" not in out
 
 
 def test_seed_verify_pass(capsys):
@@ -135,6 +158,23 @@ def test_search_expect_none_violated(capsys):
     assert "FATAL" in err
 
 
+def test_search_expect_none_honours_connected(capsys):
+    code, out, _ = run(capsys, "search", "--target", "Bw", "--max-n", "3",
+                       "--expect-none", "--connected")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["connected_only"] is True
+    assert payload["graphs_examined"] == 1 + 1 + 4  # connected graphs on 1..3 vertices
+
+
+def test_search_needs_exactly_one_target(capsys):
+    code, _, _ = run(capsys, "search", "--max-n", "3")
+    assert code == 2
+    code, out, _ = run(capsys, "search", "--target", "Bw", "--theta", "1", "2", "3",
+                       "--max-n", "3")
+    assert code == 2 and out == ""
+
+
 def test_search_invalid_theta_is_usage_error(capsys):
     code, _, err = run(capsys, "search", "--theta", "1", "1", "2", "--max-n", "3")
     assert code == 2
@@ -145,6 +185,15 @@ def test_lineseed_cycle(capsys):
     code, out, _ = run(capsys, "lineseed", "--g6", to_graph6(cycle_graph(6)))
     assert code == 0
     assert "pass i-graph matches the input" in out
+
+
+def test_lineseed_63_vertex_seed(capsys):
+    # the root of P62 is P63, so the seed has 63 vertices
+    code, out, _ = run(capsys, "lineseed", "--g6", to_graph6(path_graph(62)))
+    assert code == 0
+    assert "pass i-graph matches the input" in out
+    seed = from_graph6(out.splitlines()[0].removeprefix("seed graph6: "))
+    assert seed.n == 63
 
 
 def test_lineseed_diamond_rejected(capsys):

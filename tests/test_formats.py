@@ -36,15 +36,34 @@ def test_graph6_rejects():
     with pytest.raises(FormatError):
         from_graph6("")
     with pytest.raises(FormatError):
-        from_graph6("~??")  # multi-byte size form
+        from_graph6(">>graph6<<")  # header only
+    with pytest.raises(FormatError):
+        from_graph6("~??")  # truncated 4-byte size form
+    with pytest.raises(FormatError):
+        from_graph6("~??}" + "?" * 316)  # 4-byte size form for n = 62
+    with pytest.raises(FormatError):
+        from_graph6("~~?????@" + "?" * 336)  # 8-byte size form
+    with pytest.raises(FormatError):
+        from_graph6("~?@@" + "?" * 347)  # 65 vertices, above capacity
     with pytest.raises(FormatError):
         from_graph6("Bwx")  # trailing junk
     with pytest.raises(FormatError):
         from_graph6("Bx")  # non-zero padding bit
+    assert from_graph6(to_graph6(Graph(63))) == Graph(63)
     with pytest.raises(CapacityError):
-        to_graph6(Graph(63))  # an output limit, not malformed input
+        to_graph6(Graph._from_rows([0] * 258048))  # beyond the 4-byte size form
     # header prefix accepted
     assert from_graph6(">>graph6<<Bw") == complete_graph(3)
+
+
+def test_graph6_size_forms():
+    rng = random.Random(17)
+    for n, header in ((62, "}"), (63, "~??~"), (64, "~?@?")):
+        g = random_graph(rng, n, 0.5)
+        text = to_graph6(g)
+        assert text.startswith(header)
+        assert len(text) == len(header) + (n * (n - 1) // 2 + 5) // 6
+        assert from_graph6(text) == g
 
 
 def test_edge_list_roundtrip():

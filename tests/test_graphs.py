@@ -161,6 +161,9 @@ def test_union_and_product():
     assert is_isomorphic(p, cycle_graph(4))
     q3 = cartesian_product(cartesian_product(complete_graph(2), complete_graph(2)), complete_graph(2))
     assert q3.n == 8 and all(q3.degree(v) == 3 for v in range(8))
+    # derived graphs are not held to the 64-vertex input capacity
+    assert disjoint_union(path_graph(40), path_graph(40)).edge_count() == 78
+    assert line_graph(complete_graph(12)).degree_sequence() == (20,) * 66
 
 
 def test_connectivity_and_bipartite():

@@ -174,6 +174,15 @@ def test_disjoint_union_gives_cartesian_product():
         assert is_isomorphic(combined.skeleton, product)
 
 
+def test_product_law_exact_beyond_64_nodes():
+    k3 = complete_graph(3)
+    three = disjoint_union(disjoint_union(k3, k3), k3)
+    four = disjoint_union(three, k3)
+    product = cartesian_product(i_graph(k3).skeleton, i_graph(three).skeleton)
+    assert product.n == 81
+    assert i_graph(four).skeleton == product
+
+
 def test_known_disconnected_seed():
     # one isolated vertex plus two disjoint edges slides into a 4-cycle
     g = wheel_graph(4).complement()

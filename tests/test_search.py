@@ -108,6 +108,17 @@ def test_parallel_scan_matches_serial():
         assert [w.adj for w in a.witnesses] == [w.adj for w in b.witnesses]
 
 
+def test_parallel_find_matches_serial():
+    # find-style scans stop early; the pool must stop after the same chunk
+    for target in (cycle_graph(4), theta_graph(1, 2, 3), cycle_graph(5)):
+        for connected_only in (False, True):
+            serial = find_seed(target, max_n=6, connected_only=connected_only, jobs=1)
+            parallel = find_seed(target, max_n=6, connected_only=connected_only, jobs=2)
+            assert serial.found
+            assert parallel.graphs_examined == serial.graphs_examined
+            assert [w.adj for w in parallel.witnesses] == [w.adj for w in serial.witnesses]
+
+
 def test_connected_only_filter():
     rep = find_seed(cycle_graph(4), max_n=5, connected_only=True, find_all=True)
     assert all(w.is_connected() for w in rep.witnesses)
