@@ -43,11 +43,19 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
+def _read_text(path: str) -> str:
+    """Contents of a UTF-8 text file; FormatError (exit 2) when it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+
+
 def _read_graph(args) -> Graph:
     if getattr(args, "g6", None):
         return from_graph6(args.g6)
-    with open(args.input, encoding="utf-8") as fh:
-        return from_edge_list(fh.read())
+    return from_edge_list(_read_text(args.input))
 
 
 def _add_input_options(p: argparse.ArgumentParser) -> None:
@@ -190,8 +198,7 @@ def cmd_lineseed(args) -> int:
 
 def cmd_dualseed(args) -> int:
     g = _read_graph(args)
-    with open(args.rotation, encoding="utf-8") as fh:
-        rot = parse_rotation_file(fh.read(), g)
+    rot = parse_rotation_file(_read_text(args.rotation), g)
     seed = planar_seed(g, rot)
     rep = independence_report(seed)
     sg = build_slide_graph(seed, list(rep.i_sets))
@@ -267,8 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SetCountCapError, CapacityError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (FormatError, InvalidParameterError, InvalidThetaSpecError,
-            FileNotFoundError) as exc:
+    except (FormatError, InvalidParameterError, InvalidThetaSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GraphError as exc:

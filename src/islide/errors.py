@@ -16,7 +16,8 @@ class CapacityError(GraphError):
 
 
 class FormatError(GraphError):
-    """Malformed text input (edge list, graph6, rotation file)."""
+    """Malformed or unreadable text input (edge list, graph6, rotation
+    file, slide-graph JSON)."""
 
 
 class SetCountCapError(GraphError):

@@ -2,11 +2,11 @@
 
 Edge list format: first line is the vertex count, then one ``u v`` pair per
 line, 0-indexed.  graph6 follows the published byte layout: the size is one
-byte for n <= 62 and ``~`` plus three 6-bit bytes for 63 <= n <= 258047.
-Writing a larger graph raises CapacityError (an output limit).  Reading
-raises FormatError on the 8-byte ``~~`` size form, on a 4-byte form for
-n <= 62 (non-canonical), and on more than MAX_VERTICES vertices, as an edge
-list does.
+byte for n <= 62 and ``~`` plus three 6-bit bytes for 63 <= n <= 258047, then
+the edge mask (see ``graphs``) in 6-bit groups, pair (0,1) first.  Writing a
+larger graph raises CapacityError (an output limit).  Reading raises
+FormatError on the 8-byte ``~~`` size form, on a 4-byte form for n <= 62
+(non-canonical), and on more than MAX_VERTICES vertices, as an edge list does.
 """
 from __future__ import annotations
 
@@ -51,24 +51,11 @@ def from_edge_list(text: str) -> Graph:
 def to_graph6(g: Graph) -> str:
     if g.n > _G6_MAX:
         raise CapacityError(f"graph6 4-byte size form limited to {_G6_MAX} vertices")
-    if g.n <= _G6_SHORT:
-        out = [chr(g.n + 63)]
-    else:
-        out = ["~"] + [chr((g.n >> shift & 63) + 63) for shift in (12, 6, 0)]
-    acc = 0
-    nbits = 0
-    for v in range(1, g.n):
-        col = g.adj[v]
-        for u in range(v):
-            acc = (acc << 1) | (col >> u & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
-    return "".join(out)
+    size = [g.n] if g.n <= _G6_SHORT else [63, g.n >> 12, g.n >> 6 & 63, g.n & 63]
+    nbytes = (g.n * (g.n - 1) // 2 + 5) // 6
+    stream = format(g._edge_mask(), f"0{6 * nbytes}b")[::-1]
+    body = [int(stream[i:i + 6], 2) for i in range(0, 6 * nbytes, 6)]
+    return "".join(chr(x + 63) for x in size + body)
 
 
 def from_graph6(text: str) -> Graph:
@@ -91,14 +78,14 @@ def from_graph6(text: str) -> Graph:
             raise FormatError(f"non-canonical graph6 4-byte size form for n={n}")
     if not 1 <= n <= MAX_VERTICES:
         raise FormatError(f"graph6 vertex count {n} outside 1..{MAX_VERTICES}")
-    need = (n * (n - 1) // 2 + 5) // 6
+    npairs = n * (n - 1) // 2
+    need = (npairs + 5) // 6
     if len(body) != need:
         raise FormatError(f"graph6 body has {len(body)} bytes, expected {need}")
-    bitstream = [val >> k & 1 for val in body for k in range(5, -1, -1)]
-    if any(bitstream[n * (n - 1) // 2:]):
+    stream = "".join(format(val, "06b") for val in body)
+    if "1" in stream[npairs:]:
         raise FormatError("graph6 padding bits must be zero")
-    pairs = [(u, v) for v in range(1, n) for u in range(v)]
-    return Graph(n, [pair for pair, bit in zip(pairs, bitstream) if bit])
+    return Graph._from_mask(n, int(stream[:npairs][::-1] or "0", 2))
 
 
 def to_dot(g: Graph, labels: dict[int, str] | None = None, name: str = "G") -> str:

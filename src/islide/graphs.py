@@ -4,6 +4,11 @@ Vertex subsets are plain Python ints used as bitmasks (bit ``i`` is vertex
 ``i``).  Graphs are immutable after construction and every operation here is
 a pure function, so values can be shared freely between threads.
 
+An edge mask is a whole edge set as one int: bit ``v*(v-1)/2 + u`` is the
+pair ``(u, v)``, u < v, so pairs run (0,1), (0,2), (1,2), (0,3), ..., the
+graph6 bit order.  graph6, the bounded scan and canonical keys all go through
+``Graph._edge_mask`` and ``Graph._from_mask``.
+
 Sizes that enter from a caller or a file (``Graph(n, edges)``, ``ThetaSpec``,
 the named generators) are capped at MAX_VERTICES = 64; graphs derived from
 existing ones, such as complements, products and slide-graph skeletons, are not.
@@ -11,6 +16,7 @@ existing ones, such as complements, products and slide-graph skeletons, are not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator
 
 from .errors import CapacityError, InvalidParameterError, InvalidThetaSpecError
@@ -62,6 +68,27 @@ class Graph:
         object.__setattr__(g, "n", len(rows))
         object.__setattr__(g, "adj", rows)
         return g
+
+    @classmethod
+    def _from_mask(cls, n: int, mask: int) -> "Graph":
+        """Trusted fast path: the graph on n vertices with edge mask ``mask``."""
+        pairs = _mask_pairs(n)
+        rows = [0] * n
+        while mask:
+            low = mask & -mask
+            u, bit_v, v, bit_u = pairs[low.bit_length() - 1]
+            rows[u] |= bit_v
+            rows[v] |= bit_u
+            mask ^= low
+        return cls._from_rows(rows)
+
+    def _edge_mask(self) -> int:
+        """The edge mask of this graph; inverse of ``_from_mask``."""
+        mask = shift = 0
+        for v, row in enumerate(self.adj):
+            mask |= (row & ((1 << v) - 1)) << shift
+            shift += v
+        return mask
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -185,13 +212,22 @@ class Graph:
 
     def relabel(self, perm: list[int]) -> "Graph":
         """Apply permutation ``perm`` (``perm[v]`` is the new index of ``v``)."""
+        image = [1 << p for p in perm]
         rows = [0] * self.n
-        for v in range(self.n):
+        for v, old in enumerate(self.adj):
             row = 0
-            for u in bits(self.adj[v]):
-                row |= 1 << perm[u]
+            while old:
+                low = old & -old
+                row |= image[low.bit_length() - 1]
+                old ^= low
             rows[perm[v]] = row
         return Graph._from_rows(rows)
+
+
+@cache
+def _mask_pairs(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Edge-mask bit index to ``(u, 1 << v, v, 1 << u)``; decoders keep n <= MAX_VERTICES."""
+    return tuple((u, 1 << v, v, 1 << u) for v in range(1, n) for u in range(v))
 
 
 def complement(g: Graph) -> Graph:

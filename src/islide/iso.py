@@ -3,10 +3,10 @@
 ``canonical_form`` relabels a graph so that isomorphic graphs map to equal
 labeled graphs.  The partition is refined by neighbor-color multisets; when
 it stops short of discrete, the first non-singleton cell is split by
-individualizing each of its vertices in turn and the lexicographically
-smallest adjacency encoding over all completions is kept.  Exponential in
-the worst case, which is fine at the scales used here (at most a few dozen
-vertices, mostly trees-with-cycles).
+individualizing each of its vertices in turn and the completion with the
+smallest edge mask (see ``graphs``) is kept.  Exponential in the worst case,
+which is fine at the scales used here (at most a few dozen vertices, mostly
+trees-with-cycles).
 """
 from __future__ import annotations
 
@@ -33,45 +33,17 @@ def _refine(g: Graph, colors: list[int]) -> list[int]:
         colors = new
 
 
-def _encode(g: Graph, perm: list[int]) -> bytes:
-    """Upper-triangle bit string of the relabeled graph, row-major."""
-    n = g.n
-    inv = [0] * n
-    for v, p in enumerate(perm):
-        inv[p] = v
-    out = bytearray()
-    acc = 0
-    nbits = 0
-    for i in range(n):
-        row = g.adj[inv[i]]
-        for j in range(i + 1, n):
-            acc = (acc << 1) | (row >> inv[j] & 1)
-            nbits += 1
-            if nbits == 8:
-                out.append(acc)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(acc << (8 - nbits))
-    return bytes(out)
-
-
-def canonical_form(g: Graph) -> tuple[Graph, list[int]]:
-    """Canonical relabeling of ``g``.
-
-    Returns ``(canon, perm)`` where ``perm[v]`` is the canonical index of
-    vertex ``v`` and ``canon == g.relabel(perm)``.  Two graphs are isomorphic
-    exactly when their canonical graphs are equal.
-    """
+def _canonical(g: Graph) -> tuple[int, list[int]]:
+    """Edge mask and relabeling of the smallest completion: ``(key, perm)``."""
     n = g.n
     m2 = sum(row.bit_count() for row in g.adj)
     if m2 == 0 or m2 == n * (n - 1):
         # empty and complete graphs are fixed by every relabeling
-        return g, list(range(n))
-    best: list[bytes | None] = [None]
-    best_perm: list[list[int]] = [[]]
+        return g._edge_mask(), list(range(n))
+    best: tuple[int, list[int]] | None = None
 
     def descend(colors: list[int]) -> None:
+        nonlocal best
         colors = _refine(g, colors)
         cells: dict[int, list[int]] = {}
         for v in range(n):
@@ -82,13 +54,10 @@ def canonical_form(g: Graph) -> tuple[Graph, list[int]]:
                 target = cells[c]
                 break
         if target is None:
-            perm = [0] * n
-            for v in range(n):
-                perm[v] = colors[v]
-            enc = _encode(g, perm)
-            if best[0] is None or enc < best[0]:
-                best[0] = enc
-                best_perm[0] = perm
+            # a discrete coloring is a relabeling: colors[v] is v's new index
+            key = g.relabel(colors)._edge_mask()
+            if best is None or key < best[0]:
+                best = (key, colors)
             return
         for v in target:
             child = [2 * c for c in colors]
@@ -96,13 +65,25 @@ def canonical_form(g: Graph) -> tuple[Graph, list[int]]:
             descend(child)
 
     descend([0] * n)
-    perm = best_perm[0]
+    return best
+
+
+def canonical_form(g: Graph) -> tuple[Graph, list[int]]:
+    """Canonical relabeling of ``g``.
+
+    Returns ``(canon, perm)`` where ``perm[v]`` is the canonical index of
+    vertex ``v`` and ``canon == g.relabel(perm)``.  Two graphs are isomorphic
+    exactly when their canonical graphs are equal.
+    """
+    perm = _canonical(g)[1]
     return g.relabel(perm), perm
 
 
-def canonical_key(g: Graph) -> tuple[int, bytes]:
-    canon, _ = canonical_form(g)
-    return g.n, _encode(canon, list(range(g.n)))
+def canonical_key(g: Graph) -> tuple[int, int]:
+    """``(n, edge mask)`` of the canonical graph: equal exactly for
+    isomorphic graphs, and ``Graph._from_mask(*canonical_key(g))`` is
+    ``canonical_form(g)[0]``."""
+    return g.n, _canonical(g)[0]
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -12,9 +12,9 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidParameterError
+from .errors import FormatError, GraphError, InvalidParameterError
 from .formats import to_dot
-from .graphs import Graph, bits
+from .graphs import Graph, bits, mask_of
 from .independence import DEFAULT_SET_CAP, independence_report
 
 
@@ -166,13 +166,35 @@ def slide_graph_to_json(sg: SlideGraph) -> str:
 
 
 def slide_graph_from_json(text: str) -> SlideGraph:
-    payload = json.loads(text)
-    base = Graph(payload["base"]["n"], [tuple(e) for e in payload["base"]["edges"]])
-    family = [sum(1 << v for v in node) for node in payload["nodes"]]
-    rebuilt = build_slide_graph(base, family)
-    want = {(e["u"], e["v"], e["moved_from"], e["moved_to"]) for e in payload["edges"]}
-    if want != set(rebuilt.edges):
-        raise InvalidParameterError("serialized edges disagree with slide adjacency")
+    """Inverse of ``slide_graph_to_json``.
+
+    Raises FormatError unless ``text`` is what that function writes: JSON
+    with the base graph, each node a strictly increasing list of base
+    vertices, the nodes in strictly ascending mask order, and exactly the
+    slide edges of those nodes.
+    """
+    try:
+        payload = json.loads(text)
+        base = Graph(payload["base"]["n"], [tuple(e) for e in payload["base"]["edges"]])
+        nodes = payload["nodes"]
+        moves = {(e["u"], e["v"], e["moved_from"], e["moved_to"]) for e in payload["edges"]}
+    except (ValueError, KeyError, TypeError, GraphError) as exc:
+        raise FormatError(f"malformed slide graph JSON: {exc!r}") from exc
+    if not isinstance(nodes, list):
+        raise FormatError("slide graph JSON nodes must be a list")
+    for node in nodes:
+        if not (isinstance(node, list) and all(type(v) is int and 0 <= v < base.n for v in node)
+                and node == sorted(set(node))):
+            raise FormatError(f"node {node!r} is not a strictly increasing list of base vertices")
+    family = [mask_of(node) for node in nodes]
+    if family != sorted(set(family)):
+        raise FormatError("slide graph nodes are not in strictly ascending mask order")
+    try:
+        rebuilt = build_slide_graph(base, family)
+    except InvalidParameterError as exc:
+        raise FormatError(f"slide graph nodes: {exc}") from exc
+    if moves != set(rebuilt.edges):
+        raise FormatError("serialized edges disagree with slide adjacency")
     return rebuilt
 
 

@@ -1,15 +1,14 @@
 """Bounded exhaustive search over labeled graphs for i-graph seeds.
 
 The scan enumerates every labeled simple graph on up to eight vertices by
-upper-triangle bitmask (column-major, the graph6 bit order) and runs the
-library's own i-graph kernels on each: ``maximal_independent_sets`` filtered
-to minimum size, then ``slide_rows`` for the skeleton.  Two exact
-isomorphism invariants (set count, then degree sequence) reject most graphs
-before a canonical-form check.  One generator, ``_labeled_graphs``, turns
-masks into graphs everywhere.  One loop consumes the results of chunks of
-2^15 masks in order, through the builtin ``map`` for one job or a process
-pool's ``imap`` for more, so witnesses come out in (n, bitmask) order and an
-early stop ends after the same chunk whatever the number of jobs.
+edge mask (see ``graphs``) and runs the library's own i-graph kernels on
+each: ``maximal_independent_sets`` filtered to minimum size, then
+``slide_rows`` for the skeleton.  Two exact isomorphism invariants (set
+count, then degree sequence) reject most graphs before a canonical-key
+check.  One loop consumes the results of chunks of 2^15 masks in order,
+through the builtin ``map`` for one job or a process pool's ``imap`` for
+more, so witnesses come out in (n, edge mask) order and an early stop ends
+after the same chunk whatever the number of jobs.
 """
 from __future__ import annotations
 
@@ -56,27 +55,17 @@ class SearchReport:
 
 
 def _labeled_graphs(n: int, start: int, stop: int, connected_only: bool):
-    """Yield ``(mask, graph)`` for each mask in ``range(start, stop)``: bit
-    ``i`` of the mask is the i-th vertex pair in column-major order."""
-    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    """Yield ``(mask, graph)`` for each edge mask in ``range(start, stop)``."""
     for mask in range(start, stop):
-        rows = [0] * n
-        mm = mask
-        while mm:
-            low = mm & -mm
-            u, v = pairs[low.bit_length() - 1]
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            mm ^= low
-        g = Graph._from_rows(rows)
+        g = Graph._from_mask(n, mask)
         if connected_only and not g.is_connected():
             continue
         yield mask, g
 
 
 def enumerate_labeled_graphs(n: int, connected_only: bool = False):
-    """Every labeled simple graph on n vertices exactly once, in
-    upper-triangle bitmask order.  Hard-capped at n = 8."""
+    """Every labeled simple graph on n vertices exactly once, in edge mask
+    order.  Hard-capped at n = 8."""
     if not 1 <= n <= _SCAN_MAX_N:
         raise InvalidParameterError(f"n={n} outside 1..{_SCAN_MAX_N}")
     for _, g in _labeled_graphs(n, 0, 1 << (n * (n - 1) // 2), connected_only):
@@ -121,6 +110,8 @@ def scan_for_targets(
     (useful for find-style queries); corroboration scans run to the end."""
     if not 1 <= max_n <= _SCAN_MAX_N:
         raise InvalidParameterError(f"max_n={max_n} outside 1..{_SCAN_MAX_N}")
+    if jobs < 1:
+        raise InvalidParameterError(f"jobs={jobs} must be at least 1")
     for t in targets:
         if t.n > 30:
             raise InvalidParameterError("target order above 30 is out of scope")
@@ -142,10 +133,7 @@ def scan_for_targets(
     elapsed = time.perf_counter() - t0
     reports = []
     for idx, t in enumerate(targets):
-        witnesses = tuple(
-            next(_labeled_graphs(n, mask, mask + 1, False))[1]
-            for n, mask, i in sorted(hits) if i == idx
-        )
+        witnesses = tuple(Graph._from_mask(n, mask) for n, mask, i in sorted(hits) if i == idx)
         reports.append(SearchReport(t, max_n, connected_only, examined, witnesses, elapsed))
     return reports
 

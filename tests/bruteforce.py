@@ -53,13 +53,28 @@ def brute_labeled_graphs(n: int):
         yield Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
+def brute_graph6(g: Graph) -> str:
+    """graph6 bit by bit from the published layout (McKay, formats.txt):
+    N(n) is one byte n + 63 for n <= 62, else 126 and n as three 6-bit
+    bytes; then x(0,1) x(0,2) x(1,2) x(0,3) x(1,3) x(2,3) ..., padded with
+    zeros to a multiple of 6, each group of 6 bits plus 63 as one byte."""
+    n = g.n
+    size = [n] if n <= 62 else [63, n >> 12 & 63, n >> 6 & 63, n & 63]
+    stream = [int(g.has_edge(i, j)) for j in range(1, n) for i in range(j)]
+    stream += [0] * (-len(stream) % 6)
+    groups = [stream[k:k + 6] for k in range(0, len(stream), 6)]
+    body = [sum(bit << (5 - pos) for pos, bit in enumerate(group)) for group in groups]
+    return "".join(chr(x + 63) for x in size + body)
+
+
 def brute_is_isomorphic(g: Graph, h: Graph) -> bool:
     """All-permutations check; n <= 8 or so."""
     if g.n != h.n or g.edge_count() != h.edge_count():
         return False
     ge = set(g.edges())
+    he = _sym(h)
     for perm in itertools.permutations(range(g.n)):
-        if all((perm[u], perm[v]) in _sym(h) for u, v in ge):
+        if all((perm[u], perm[v]) in he for u, v in ge):
             return True
     return False
 

@@ -242,3 +242,27 @@ def test_seed_dot_format_carries_names(capsys):
     assert code == 0
     assert '[label="w0"]' in out
     assert '[label="v1"]' in out
+
+
+def test_unreadable_input_files_are_usage_errors(tmp_path, capsys):
+    binary = tmp_path / "binary.g"
+    binary.write_bytes(b"\xff\xfe\x00\x01")
+    g, rot = cube_with_rotation()
+    gpath = tmp_path / "cube.edges"
+    gpath.write_text(to_edge_list(g), encoding="utf-8")
+    for argv, path in (
+        (("compute", "--input", str(tmp_path)), tmp_path),
+        (("lineseed", "--input", str(binary)), binary),
+        (("dualseed", "--input", str(gpath), "--rotation", str(tmp_path)), tmp_path),
+        (("compute", "--input", str(tmp_path / "missing.g")), tmp_path / "missing.g"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"cannot read {path}" in err
+
+
+def test_search_jobs_below_one_is_usage_error(capsys):
+    code, out, err = run(capsys, "search", "--theta", "1", "2", "3", "--max-n", "3",
+                         "--jobs", "0")
+    assert code == 2 and out == ""
+    assert "jobs" in err

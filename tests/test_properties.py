@@ -1,0 +1,74 @@
+"""Property tests of the edge-mask codec and of canonical keys against the
+independent oracles in ``bruteforce``."""
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from islide import Graph, canonical_form, canonical_key, from_graph6, to_graph6
+
+from bruteforce import brute_graph6, brute_is_isomorphic, brute_labeled_graphs, random_graph
+
+
+@st.composite
+def graphs(draw, max_n):
+    # half the draws at the largest sizes, where graph6 changes size form
+    n = draw(st.integers(1, max_n) | st.integers(max(1, max_n - 2), max_n))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return random_graph(rng, n, draw(st.floats(0, 1)))
+
+
+def permuted(g: Graph, perm: list[int]) -> Graph:
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@settings(deadline=None)
+@given(graphs(64))
+def test_graph6_matches_published_layout(g):
+    text = to_graph6(g)
+    assert text == brute_graph6(g)
+    assert from_graph6(text) == g
+
+
+def test_mask_codec_is_the_labeled_order():
+    for n in range(1, 6):
+        for k, g in enumerate(brute_labeled_graphs(n)):
+            assert Graph._from_mask(n, k) == g
+            assert g._edge_mask() == k
+
+
+@given(st.integers(1, 64).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1))))
+def test_edge_mask_inverts_from_mask(case):
+    n, mask = case
+    g = Graph._from_mask(n, mask)
+    assert g._edge_mask() == mask
+    assert g == Graph(n, g.edges())
+
+
+@settings(deadline=None)
+@given(graphs(8), st.randoms())
+def test_canonical_key_invariant_under_relabeling(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    assert canonical_key(permuted(g, perm)) == canonical_key(g)
+
+
+@settings(deadline=None)
+@given(graphs(8))
+def test_canonical_key_decodes_to_canonical_form(g):
+    assert Graph._from_mask(*canonical_key(g)) == canonical_form(g)[0]
+
+
+@settings(deadline=None)
+@given(graphs(7), st.randoms(), st.booleans())
+def test_canonical_key_agrees_with_bruteforce(g, rng, move_edge):
+    # h is a relabeling of g, with one edge moved to a non-edge half the time
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in g.edges()]
+    gaps = [(u, v) for v in range(g.n) for u in range(v) if (u, v) not in edges and (v, u) not in edges]
+    if move_edge and edges and gaps:
+        edges.remove(rng.choice(edges))
+        edges.append(rng.choice(gaps))
+    h = Graph(g.n, edges)
+    assert (canonical_key(g) == canonical_key(h)) == brute_is_isomorphic(g, h)

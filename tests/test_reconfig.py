@@ -1,10 +1,12 @@
 import dataclasses
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from islide import (
+    FormatError,
     Graph,
     InvalidParameterError,
     cartesian_product,
@@ -197,6 +199,58 @@ def test_json_roundtrip():
     assert back.nodes == sg.nodes
     assert set(back.edges) == set(sg.edges)
     assert back.skeleton == sg.skeleton
+
+
+def _house_seed_payload():
+    return json.loads(slide_graph_to_json(i_graph(house_seed()[0])))
+
+
+def _rejected(payload):
+    with pytest.raises(FormatError):
+        slide_graph_from_json(payload if isinstance(payload, str) else json.dumps(payload))
+
+
+def test_json_rejects_non_json():
+    _rejected("{not json")
+
+
+def test_json_rejects_missing_key():
+    payload = _house_seed_payload()
+    del payload["nodes"]
+    _rejected(payload)
+
+
+def test_json_rejects_negative_vertex():
+    payload = _house_seed_payload()
+    payload["nodes"][0][0] = -1
+    _rejected(payload)
+
+
+def test_json_rejects_vertex_outside_base():
+    payload = _house_seed_payload()
+    payload["nodes"][-1][-1] = payload["base"]["n"]
+    _rejected(payload)
+
+
+def test_json_rejects_node_not_strictly_increasing():
+    payload = _house_seed_payload()
+    payload["nodes"][0].reverse()
+    _rejected(payload)
+    payload = _house_seed_payload()
+    payload["nodes"][0][1] = payload["nodes"][0][0]
+    _rejected(payload)
+
+
+def test_json_rejects_nodes_out_of_mask_order():
+    payload = _house_seed_payload()
+    payload["nodes"][0], payload["nodes"][1] = payload["nodes"][1], payload["nodes"][0]
+    _rejected(payload)
+
+
+def test_json_rejects_edges_that_disagree():
+    payload = _house_seed_payload()
+    payload["edges"].pop()
+    _rejected(payload)
 
 
 def test_dot_labels():

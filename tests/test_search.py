@@ -156,6 +156,13 @@ def test_search_bounds():
         find_seed(path_graph(31), max_n=4)
 
 
+def test_scan_needs_at_least_one_job():
+    with pytest.raises(InvalidParameterError):
+        scan_for_targets([cycle_graph(4)], 3, jobs=0)
+    with pytest.raises(InvalidParameterError):
+        find_seed(cycle_graph(4), max_n=3, jobs=-1)
+
+
 def test_obstruction_minimality():
     # every theta graph induced in the 9-vertex obstruction is realizable,
     # and at least one induced theta exists
