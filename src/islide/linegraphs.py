@@ -15,23 +15,16 @@ from .iso import is_diamond_free, is_isomorphic
 
 
 def _cliques_containing_edge(h: Graph, u: int, v: int) -> list[int]:
-    """All cliques (as masks, size >= 2) containing the edge uv, largest first."""
+    """The cliques that can be the Krausz cell of the edge uv, largest first.
+
+    The cell holds u, v and every common neighbour but at most one: were
+    two common neighbours w and x left out, the other cell of u and the
+    other cell of v would both hold w and x, and so share the edge wx.
+    """
     base = (1 << u) | (1 << v)
     common = h.adj[u] & h.adj[v]
-    out = [base]
-
-    def grow(mask: int, cand: int) -> None:
-        c = cand
-        while c:
-            low = c & -c
-            w = low.bit_length() - 1
-            nxt = mask | low
-            out.append(nxt)
-            grow(nxt, c & h.adj[w])
-            c ^= low
-        return
-
-    grow(base, common)
+    cells = [base | common] + [base | (common & ~(1 << w)) for w in bits(common)]
+    out = [m for m in cells if all(m & ~h.adj[x] == 1 << x for x in bits(m))]
     out.sort(key=lambda m: (-m.bit_count(), m))
     return out
 

@@ -1,14 +1,20 @@
-"""Bounded exhaustive search over labeled graphs for i-graph seeds.
+"""Bounded exhaustive search over isomorphism classes for i-graph seeds.
 
-The scan enumerates every labeled simple graph on up to eight vertices by
-edge mask (see ``graphs``) and runs the library's own i-graph kernels on
-each: ``maximal_independent_sets`` filtered to minimum size, then
-``slide_rows`` for the skeleton.  Two exact isomorphism invariants (set
-count, then degree sequence) reject most graphs before a canonical-key
-check.  One loop consumes the results of chunks of 2^15 masks in order,
-through the builtin ``map`` for one job or a process pool's ``imap`` for
-more, so witnesses come out in (n, edge mask) order and an early stop ends
-after the same chunk whatever the number of jobs.
+A seed's i-graph depends only on its isomorphism class, so the scan visits
+each class of graphs on up to eight vertices once.  Level 1 is the single
+vertex; level n is the set of canonical edge masks (see ``iso``) of every
+one-vertex extension of every level-(n-1) class.  Every graph is such an
+extension of one of its vertex-deleted subgraphs, and every connected graph
+of a connected one (delete a vertex that is not a cut vertex), so the
+levels hold exactly the classes, or exactly the connected classes when the
+new vertex must have a neighbour.  Each class is tested once with the
+library's own i-graph kernels (``maximal_independent_sets`` filtered to
+minimum size, then ``slide_rows``) and one canonical key of the skeleton,
+looked up among the targets' keys.  Both stages run through the builtin
+``map`` for one job or a process pool's ``imap`` for more, per parent to
+build a level and per class to test it.  Levels are sorted, so witnesses
+come out in (n, canonical edge mask) order, and an early stop ends after
+the same level whatever the number of jobs.
 """
 from __future__ import annotations
 
@@ -26,7 +32,6 @@ from .iso import canonical_key
 from .reconfig import slide_rows
 
 _SCAN_MAX_N = 8
-_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -54,47 +59,37 @@ class SearchReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _labeled_graphs(n: int, start: int, stop: int, connected_only: bool):
-    """Yield ``(mask, graph)`` for each edge mask in ``range(start, stop)``."""
-    for mask in range(start, stop):
-        g = Graph._from_mask(n, mask)
-        if connected_only and not g.is_connected():
-            continue
-        yield mask, g
-
-
 def enumerate_labeled_graphs(n: int, connected_only: bool = False):
     """Every labeled simple graph on n vertices exactly once, in edge mask
     order.  Hard-capped at n = 8."""
     if not 1 <= n <= _SCAN_MAX_N:
         raise InvalidParameterError(f"n={n} outside 1..{_SCAN_MAX_N}")
-    for _, g in _labeled_graphs(n, 0, 1 << (n * (n - 1) // 2), connected_only):
-        yield g
+    for mask in range(1 << (n * (n - 1) // 2)):
+        g = Graph._from_mask(n, mask)
+        if not connected_only or g.is_connected():
+            yield g
 
 
-def _scan_chunk(args) -> tuple[int, list[tuple[int, int, int]]]:
-    n, start, stop, connected_only, prepared = args
-    counts = {p[0] for p in prepared}
-    examined = 0
-    hits: list[tuple[int, int, int]] = []
-    for mask, g in _labeled_graphs(n, start, stop, connected_only):
-        examined += 1
-        sets = maximal_independent_sets(g)
-        best = min(map(int.bit_count, sets))
-        isets = [s for s in sets if s.bit_count() == best]
-        if len(isets) not in counts:
-            continue
-        skel = Graph._from_rows(slide_rows(g.adj, isets))
-        degseq = skel.degree_sequence()
-        skel_key = None
-        for idx, (order, dseq, ckey) in enumerate(prepared):
-            if order != len(isets) or dseq != degseq:
-                continue
-            if skel_key is None:
-                skel_key = canonical_key(skel)
-            if skel_key == ckey:
-                hits.append((n, mask, idx))
-    return examined, hits
+def _extensions(args) -> set[int]:
+    """Canonical edge masks of the one-vertex extensions of the graph with
+    edge mask ``mask`` on n vertices.  Under connected_only the new vertex
+    needs a neighbour."""
+    n, mask, connected_only = args
+    # the new vertex n takes the edge mask bits n(n-1)/2 .. n(n+1)/2 - 1
+    shift = n * (n - 1) // 2
+    return {canonical_key(Graph._from_mask(n + 1, mask | nbrs << shift))[1]
+            for nbrs in range(1 if connected_only else 0, 1 << n)}
+
+
+def _i_graph_key(args) -> tuple[int, int]:
+    """Canonical key of the i-graph skeleton of the graph with edge mask
+    ``mask`` on n vertices."""
+    n, mask = args
+    g = Graph._from_mask(n, mask)
+    sets = maximal_independent_sets(g)
+    best = min(map(int.bit_count, sets))
+    skel = Graph._from_rows(slide_rows(g.adj, [s for s in sets if s.bit_count() == best]))
+    return canonical_key(skel)
 
 
 def scan_for_targets(
@@ -104,10 +99,12 @@ def scan_for_targets(
     jobs: int = 1,
     stop_at_first: bool = False,
 ) -> list[SearchReport]:
-    """One pass over all labeled graphs up to max_n, matched against every
-    target at once.  Returns one report per target, witnesses in (n, mask)
-    order.  With stop_at_first the scan ends once every target has a witness
-    (useful for find-style queries); corroboration scans run to the end."""
+    """One pass over the isomorphism classes of graphs on up to max_n
+    vertices, matched against every target at once.  Returns one report per
+    target; each witness is a canonical graph, one per class, in (n,
+    canonical edge mask) order.  With stop_at_first the scan ends after the
+    first level at which every target has a witness (useful for find-style
+    queries); corroboration scans run to the end."""
     if not 1 <= max_n <= _SCAN_MAX_N:
         raise InvalidParameterError(f"max_n={max_n} outside 1..{_SCAN_MAX_N}")
     if jobs < 1:
@@ -116,24 +113,28 @@ def scan_for_targets(
         if t.n > 30:
             raise InvalidParameterError("target order above 30 is out of scope")
     t0 = time.perf_counter()
-    prepared = tuple((t.n, t.degree_sequence(), canonical_key(t)) for t in targets)
-    chunks = (
-        (n, start, min(start + _CHUNK, 1 << n * (n - 1) // 2), connected_only, prepared)
-        for n in range(1, max_n + 1)
-        for start in range(0, 1 << n * (n - 1) // 2, _CHUNK)
-    )
+    wanted: dict[tuple[int, int], list[int]] = {}
+    for idx, t in enumerate(targets):
+        wanted.setdefault(canonical_key(t), []).append(idx)
+    level = [0]
     examined = 0
     hits: list[tuple[int, int, int]] = []
     with Pool(jobs) if jobs > 1 else nullcontext() as pool:
-        for exa, hh in (pool.imap if jobs > 1 else map)(_scan_chunk, chunks):
-            examined += exa
-            hits.extend(hh)
-            if stop_at_first and len({i for _, _, i in hits}) == len(targets):
+        run = pool.imap if jobs > 1 else map
+        for n in range(1, max_n + 1):
+            if n > 1:
+                parents = ((n - 1, mask, connected_only) for mask in level)
+                level = sorted(set().union(*run(_extensions, parents)))
+            keys = run(_i_graph_key, ((n, mask) for mask in level))
+            for mask, key in zip(level, keys):
+                hits.extend((n, mask, idx) for idx in wanted.get(key, ()))
+            examined += len(level)
+            if stop_at_first and len({idx for _, _, idx in hits}) == len(targets):
                 break
     elapsed = time.perf_counter() - t0
     reports = []
     for idx, t in enumerate(targets):
-        witnesses = tuple(Graph._from_mask(n, mask) for n, mask, i in sorted(hits) if i == idx)
+        witnesses = tuple(Graph._from_mask(n, mask) for n, mask, i in hits if i == idx)
         reports.append(SearchReport(t, max_n, connected_only, examined, witnesses, elapsed))
     return reports
 
@@ -146,7 +147,8 @@ def find_seed(
     jobs: int = 1,
 ) -> SearchReport:
     """Scan for seeds whose i-graph is isomorphic to the target; the first
-    witness in (n, mask) order is kept unless find_all asks for every one."""
+    witness in (n, canonical mask) order is kept unless find_all asks for
+    every one."""
     report = scan_for_targets([target], max_n, connected_only=connected_only,
                               jobs=jobs, stop_at_first=not find_all)[0]
     if not find_all:

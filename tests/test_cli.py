@@ -164,7 +164,7 @@ def test_search_expect_none_honours_connected(capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload["connected_only"] is True
-    assert payload["graphs_examined"] == 1 + 1 + 4  # connected graphs on 1..3 vertices
+    assert payload["graphs_examined"] == 1 + 1 + 2  # connected classes on 1..3 vertices
 
 
 def test_search_needs_exactly_one_target(capsys):

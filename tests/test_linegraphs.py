@@ -2,6 +2,7 @@ import pytest
 
 from islide import (
     DiamondFoundError,
+    Graph,
     NotALineGraphError,
     NotConnectedError,
     complete_graph,
@@ -119,6 +120,21 @@ def test_seed_rejects_disconnected():
 def test_complete_graph_is_its_own_seed():
     g = seed_from_line_graph(complete_graph(4))
     assert g == complete_graph(4)
+
+
+def test_seed_from_large_clique_line_graph():
+    # K_30 plus a pendant vertex is the line graph of a 30-leaf star with one
+    # leaf extended by an edge.  The Krausz cell of an edge inside K_30 is
+    # forced to be all of K_30; listing the 2^28 cliques through the edge
+    # instead would exhaust memory.
+    h = Graph(31, complete_graph(30).edges() + [(0, 30)])
+    g = seed_from_line_graph(h)
+    assert g.n == 32
+    rep = independence_report(g)
+    assert rep.i == rep.alpha == 2
+    sg = i_graph(g)
+    assert sg.node_count() == 31
+    assert sg.skeleton.degree_sequence() == h.degree_sequence()
 
 
 def test_seed_sweep_small_line_graphs():

@@ -1,12 +1,27 @@
-"""Property tests of the edge-mask codec and of canonical keys against the
-independent oracles in ``bruteforce``."""
+"""Property tests of the edge-mask codec, of canonical keys and of the
+maximal-independent-set families against the independent oracles in
+``bruteforce``."""
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from islide import Graph, canonical_form, canonical_key, from_graph6, to_graph6
+from islide import (
+    Graph,
+    canonical_form,
+    canonical_key,
+    from_graph6,
+    independence_report,
+    maximal_independent_sets,
+    to_graph6,
+)
 
-from bruteforce import brute_graph6, brute_is_isomorphic, brute_labeled_graphs, random_graph
+from bruteforce import (
+    brute_graph6,
+    brute_is_isomorphic,
+    brute_labeled_graphs,
+    brute_maximal_independent_sets,
+    random_graph,
+)
 
 
 @st.composite
@@ -72,3 +87,18 @@ def test_canonical_key_agrees_with_bruteforce(g, rng, move_edge):
         edges.append(rng.choice(gaps))
     h = Graph(g.n, edges)
     assert (canonical_key(g) == canonical_key(h)) == brute_is_isomorphic(g, h)
+
+
+@settings(deadline=None)
+@given(graphs(10))
+def test_mis_families_match_bruteforce(g):
+    brute = brute_maximal_independent_sets(g)
+    sets = maximal_independent_sets(g)
+    assert len(sets) == len(brute)
+    assert set(sets) == brute
+    i = min(s.bit_count() for s in brute)
+    alpha = max(s.bit_count() for s in brute)
+    rep = independence_report(g)
+    assert (rep.i, rep.alpha, rep.total_mis_count) == (i, alpha, len(brute))
+    assert set(rep.i_sets) == {s for s in brute if s.bit_count() == i}
+    assert set(rep.alpha_sets) == {s for s in brute if s.bit_count() == alpha}

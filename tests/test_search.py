@@ -5,6 +5,7 @@ import pytest
 from islide import (
     Graph,
     InvalidParameterError,
+    canonical_key,
     complete_graph,
     confirm_non_realizable,
     cycle_graph,
@@ -73,30 +74,43 @@ def test_sanity_inversion_k3():
 def test_diamond_has_no_seed_up_to_six():
     rep = confirm_non_realizable(diamond_graph(), max_n=6)
     assert not rep.found
-    assert rep.graphs_examined == sum(1 << (n * (n - 1) // 2) for n in range(1, 7))
+    assert rep.graphs_examined == 1 + 2 + 4 + 11 + 34 + 156  # A000088, n = 1..6
 
 
 def test_scan_matches_bruteforce_oracle():
-    # witnesses in (n, mask) order are exactly the labeled graphs whose
-    # oracle i-graph is isomorphic to the target
+    # witnesses are one canonical graph per oracle class (labeled graphs
+    # grouped by the all-permutations check) whose oracle i-graph is
+    # isomorphic to the target, in (n, canonical mask) order
     targets = (cycle_graph(4), theta_graph(1, 2, 3))
-    expected = {t: [] for t in targets}
-    examined = 0
+    classes = []
     for n in range(1, 6):
+        reps = []
         for g in brute_labeled_graphs(n):
-            examined += 1
-            sets = brute_maximal_independent_sets(g)
-            best = min(s.bit_count() for s in sets)
-            isets = sorted(s for s in sets if s.bit_count() == best)
-            skel = Graph._from_rows(brute_slide_rows(g, isets))
-            for t in targets:
-                if brute_is_isomorphic(skel, t):
-                    expected[t].append(g)
+            if not any(brute_is_isomorphic(g, r) for r in reps):
+                reps.append(g)
+        classes.extend(reps)
+    assert len(classes) == 52
+    expected = {t: [] for t in targets}
+    for g in classes:
+        sets = brute_maximal_independent_sets(g)
+        best = min(s.bit_count() for s in sets)
+        isets = sorted(s for s in sets if s.bit_count() == best)
+        skel = Graph._from_rows(brute_slide_rows(g, isets))
+        for t in targets:
+            if brute_is_isomorphic(skel, t):
+                expected[t].append(g)
     for t in targets:
         rep = find_seed(t, max_n=5, find_all=True)
         assert expected[t]
-        assert [w.adj for w in rep.witnesses] == [g.adj for g in expected[t]]
-        assert rep.graphs_examined == examined
+        assert len(rep.witnesses) == len(expected[t])
+        for w in rep.witnesses:
+            assert canonical_key(w) == (w.n, w._edge_mask())
+            assert sum(brute_is_isomorphic(w, g) for g in expected[t]) == 1
+        for g in expected[t]:
+            assert any(brute_is_isomorphic(w, g) for w in rep.witnesses)
+        order = [(w.n, w._edge_mask()) for w in rep.witnesses]
+        assert order == sorted(order)
+        assert rep.graphs_examined == len(classes)
 
 
 def test_parallel_scan_matches_serial():
@@ -122,7 +136,7 @@ def test_parallel_find_matches_serial():
 def test_connected_only_filter():
     rep = find_seed(cycle_graph(4), max_n=5, connected_only=True, find_all=True)
     assert all(w.is_connected() for w in rep.witnesses)
-    assert rep.graphs_examined < sum(1 << (n * (n - 1) // 2) for n in range(1, 6))
+    assert rep.graphs_examined == 1 + 1 + 2 + 6 + 21  # A001349, n = 1..5
 
 
 def test_report_json():
