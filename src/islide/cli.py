@@ -137,6 +137,11 @@ def cmd_seed(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
+    # a sweep over no sizes would print "pass" without checking anything
+    for flag, value, least in (("--wheel-max", args.wheel_max, 4), ("--fan-max", args.fan_max, 2),
+                               ("--line-max", args.line_max, 2)):
+        if value < least:
+            raise InvalidParameterError(f"{flag}={value} must be at least {least}")
     failures = 0
     families = (
         ("wheel rim", wheel_graph, lambda k: (f"C_{k}", cycle_graph(k)),
@@ -241,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--line-max", type=int, default=6)
     p.set_defaults(func=cmd_lemmas)
 
-    p = sub.add_parser("search", help="exhaustive seed search over small labeled graphs")
+    p = sub.add_parser("search", help="exhaustive seed search over the isomorphism classes of small graphs")
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--target", help="target as graph6")
     grp.add_argument("--theta", nargs=3, type=int, metavar=("J", "K", "L"))

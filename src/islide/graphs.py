@@ -168,22 +168,6 @@ class Graph:
                 return True
         return False
 
-    def bfs_distances(self, source: int) -> list[int]:
-        dist = [-1] * self.n
-        dist[source] = 0
-        frontier = [source]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in bits(self.adj[u]):
-                    if dist[v] == -1:
-                        dist[v] = d
-                        nxt.append(v)
-            frontier = nxt
-        return dist
-
     # -- derived graphs ------------------------------------------------
 
     def complement(self) -> "Graph":

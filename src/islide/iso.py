@@ -10,7 +10,7 @@ trees-with-cycles).
 """
 from __future__ import annotations
 
-from .graphs import Graph, bits, diamond_graph, star_graph
+from .graphs import Graph, bits, star_graph
 
 
 def _refine(g: Graph, colors: list[int]) -> list[int]:
@@ -152,7 +152,15 @@ def _connect_order(h: Graph) -> list[int]:
 
 
 def is_diamond_free(g: Graph) -> bool:
-    return not contains_induced(g, diamond_graph())
+    """True iff g has no induced diamond (K_4 minus an edge): no edge uv has
+    two non-adjacent common neighbours."""
+    adj = g.adj
+    for u, v in g.edges():
+        common = adj[u] & adj[v]
+        for w in bits(common):
+            if common & ~adj[w] & ~(1 << w):
+                return False
+    return True
 
 
 def is_claw_free(g: Graph) -> bool:

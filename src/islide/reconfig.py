@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import FormatError, GraphError, InvalidParameterError
 from .formats import to_dot
@@ -37,30 +36,12 @@ class SlideGraph:
         return len(self.nodes)
 
 
-def slide_rows(adj: Sequence[int], nodes: Sequence[int]) -> list[int]:
-    """Skeleton rows of the slide graph over ``nodes``, equal-size vertex
-    sets of the graph with adjacency rows ``adj``: bit ``b`` of row ``a`` is
-    set when ``nodes[a]`` and ``nodes[b]`` differ in one vertex on each side
-    and those two vertices are adjacent.  Compares every pair of sets."""
-    m = len(nodes)
-    size = nodes[0].bit_count()
-    rows = [0] * m
-    for a in range(m):
-        sa = nodes[a]
-        for b in range(a + 1, m):
-            sb = nodes[b]
-            if (sa & sb).bit_count() != size - 1:
-                continue
-            x = (sa & ~sb).bit_length() - 1
-            y = (sb & ~sa).bit_length() - 1
-            if adj[x] >> y & 1:
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-    return rows
-
-
 def build_slide_graph(g: Graph, family: list[int]) -> SlideGraph:
-    """Slide graph over an explicit family of equal-size vertex subsets of g."""
+    """Slide graph over an explicit family of equal-size vertex subsets of g.
+
+    Compares every pair of sets: two sets slide into each other when they
+    differ in one vertex on each side and those two vertices are adjacent.
+    """
     nodes = sorted(set(family))
     if not nodes:
         raise InvalidParameterError("empty set family")
@@ -71,17 +52,21 @@ def build_slide_graph(g: Graph, family: list[int]) -> SlideGraph:
             raise InvalidParameterError("set uses vertices outside the graph")
         if s.bit_count() != size:
             raise InvalidParameterError("mixed set cardinalities in family")
-    rows = slide_rows(g.adj, nodes)
+    adj = g.adj
+    rows = [0] * len(nodes)
     edges = []
-    for a, row in enumerate(rows):
-        sa = nodes[a]
-        for b in bits(row):
-            if b < a:
-                continue
+    for a, sa in enumerate(nodes):
+        for b in range(a + 1, len(nodes)):
             sb = nodes[b]
-            edges.append((a, b, (sa & ~sb).bit_length() - 1, (sb & ~sa).bit_length() - 1))
-    skeleton = Graph._from_rows(rows)
-    return SlideGraph(g, tuple(nodes), tuple(edges), skeleton)
+            if (sa & sb).bit_count() != size - 1:
+                continue
+            x = (sa & ~sb).bit_length() - 1
+            y = (sb & ~sa).bit_length() - 1
+            if adj[x] >> y & 1:
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+                edges.append((a, b, x, y))
+    return SlideGraph(g, tuple(nodes), tuple(edges), Graph._from_rows(rows))
 
 
 def i_graph(g: Graph, cap: int = DEFAULT_SET_CAP) -> SlideGraph:
@@ -97,49 +82,54 @@ def alpha_graph(g: Graph, cap: int = DEFAULT_SET_CAP) -> SlideGraph:
 # -- structural checks -------------------------------------------------
 
 def structural_violations(sg: SlideGraph) -> list[str]:
-    """Check the distance and triangle laws every slide graph must satisfy.
+    """Check the labels and the distance and triangle laws every slide graph
+    must satisfy, in one pass over the skeleton rows.
+
+    Every skeleton edge needs one label, a slide along a base edge.  Adjacent
+    nodes differ in one vertex on each side, which bounds every distance
+    from below by the set difference, since set differences obey the
+    triangle inequality.  Nodes at distance 2 differ in two vertices.  Two
+    slides compose to an edge exactly when the first landing vertex is the
+    vertex the second slide picks up.
 
     Returns human-readable violation strings (empty list when clean).
     """
     out: list[str] = []
     nodes = sg.nodes
-    m = len(nodes)
-
+    rows = sg.skeleton.adj
+    skeleton_edges = {(a, b) for a, row in enumerate(rows) for b in bits(row) if a < b}
+    labeled = set()
     for a, b, x, y in sg.edges:
-        diff = nodes[a] ^ nodes[b]
-        if diff != (1 << x) | (1 << y):
+        labeled.add((a, b))
+        if (a, b) not in skeleton_edges:
+            out.append(f"edge ({a},{b}) is not a skeleton edge")
+        elif nodes[a] & ~nodes[b] != 1 << x or nodes[b] & ~nodes[a] != 1 << y:
             out.append(f"edge ({a},{b}) label ({x},{y}) does not match set difference")
-        if not sg.base.adj[x] >> y & 1:
+        elif not sg.base.adj[x] >> y & 1:
             out.append(f"edge ({a},{b}) slides along a non-edge ({x},{y})")
+    for a, b in sorted(skeleton_edges - labeled):
+        out.append(f"skeleton edge ({a},{b}) has no label")
 
-    skel = sg.skeleton
-    dist = [skel.bfs_distances(v) for v in range(m)]
-    for a in range(m):
-        for b in range(a + 1, m):
-            hamming = (nodes[a] & ~nodes[b]).bit_count()
-            d = dist[a][b]
-            if d != -1 and d < hamming:
-                out.append(f"distance {d} below set difference {hamming} for nodes {a},{b}")
-            if d == 2 and hamming != 2:
-                out.append(f"nodes {a},{b} at distance 2 differ in {hamming} vertices")
-
-    # Two slides compose to an edge exactly when the first landing vertex
-    # is the vertex the second slide picks up.
-    moves: dict[tuple[int, int], tuple[int, int]] = {}
-    for a, b, x, y in sg.edges:
-        moves[(a, b)] = (x, y)
-        moves[(b, a)] = (y, x)
-    for (a, b), (x1, y1) in moves.items():
-        for c in bits(skel.adj[b]):
-            if c == a:
-                continue
-            y2, z = moves[(b, c)]
-            has_ac = bool(skel.adj[a] >> c & 1)
-            if (y1 == y2) != has_ac:
-                out.append(
-                    f"triangle law broken on path {a}-{b}-{c}: "
-                    f"landed {y1}, departed {y2}, chord {'present' if has_ac else 'absent'}"
-                )
+    for a, row in enumerate(rows):
+        reach = 0
+        for b in bits(row):
+            reach |= rows[b]
+            landed = nodes[b] & ~nodes[a]
+            if a < b and landed.bit_count() > 1:
+                out.append(f"distance 1 below set difference {landed.bit_count()} for nodes {a},{b}")
+            for c in bits(rows[b] & ~(1 << a)):
+                departed = nodes[b] & ~nodes[c]
+                chord = row >> c & 1
+                if (landed == departed) != chord:
+                    out.append(
+                        f"triangle law broken on path {a}-{b}-{c}: "
+                        f"landed {landed.bit_length() - 1}, departed {departed.bit_length() - 1}, "
+                        f"chord {'present' if chord else 'absent'}"
+                    )
+        for c in bits(reach & ~row & ~(1 << a)):
+            differ = (nodes[a] & ~nodes[c]).bit_count()
+            if a < c and differ != 2:
+                out.append(f"nodes {a},{c} at distance 2 differ in {differ} vertices")
     return out
 
 

@@ -7,9 +7,8 @@ one-vertex extension of every level-(n-1) class.  Every graph is such an
 extension of one of its vertex-deleted subgraphs, and every connected graph
 of a connected one (delete a vertex that is not a cut vertex), so the
 levels hold exactly the classes, or exactly the connected classes when the
-new vertex must have a neighbour.  Each class is tested once with the
-library's own i-graph kernels (``maximal_independent_sets`` filtered to
-minimum size, then ``slide_rows``) and one canonical key of the skeleton,
+new vertex must have a neighbour.  Each class is tested once: the library's
+own ``i_graph`` builds its i-graph, and one canonical key of the skeleton is
 looked up among the targets' keys.  Both stages run through the builtin
 ``map`` for one job or a process pool's ``imap`` for more, per parent to
 build a level and per class to test it.  Levels are sorted, so witnesses
@@ -27,9 +26,8 @@ from multiprocessing import Pool
 from .errors import InvalidParameterError
 from .formats import to_graph6
 from .graphs import Graph
-from .independence import maximal_independent_sets
 from .iso import canonical_key
-from .reconfig import slide_rows
+from .reconfig import i_graph
 
 _SCAN_MAX_N = 8
 
@@ -85,11 +83,7 @@ def _i_graph_key(args) -> tuple[int, int]:
     """Canonical key of the i-graph skeleton of the graph with edge mask
     ``mask`` on n vertices."""
     n, mask = args
-    g = Graph._from_mask(n, mask)
-    sets = maximal_independent_sets(g)
-    best = min(map(int.bit_count, sets))
-    skel = Graph._from_rows(slide_rows(g.adj, [s for s in sets if s.bit_count() == best]))
-    return canonical_key(skel)
+    return canonical_key(i_graph(Graph._from_mask(n, mask)).skeleton)
 
 
 def scan_for_targets(

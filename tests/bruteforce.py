@@ -45,6 +45,55 @@ def brute_slide_rows(g: Graph, family: list[int]) -> list[int]:
     return rows
 
 
+def brute_structural_violations(sg) -> list[str]:
+    """The slide-graph laws checked pair by pair: a breadth-first search
+    from every node gives all distances, each pair is compared with its set
+    difference, and every path a-b-c of labeled slides is tested for the
+    triangle law with the labels' own vertices."""
+    out: list[str] = []
+    nodes = sg.nodes
+    m = len(nodes)
+    skel = sg.skeleton
+    nbrs = [[v for v in range(m) if skel.adj[u] >> v & 1] for u in range(m)]
+
+    for a, b, x, y in sg.edges:
+        if nodes[a] ^ nodes[b] != (1 << x) | (1 << y):
+            out.append(f"edge ({a},{b}) label ({x},{y}) does not match set difference")
+        if not sg.base.adj[x] >> y & 1:
+            out.append(f"edge ({a},{b}) slides along a non-edge ({x},{y})")
+
+    for a in range(m):
+        dist = [-1] * m
+        dist[a] = 0
+        queue = [a]
+        for u in queue:
+            for v in nbrs[u]:
+                if dist[v] == -1:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        for b in range(a + 1, m):
+            hamming = (nodes[a] & ~nodes[b]).bit_count()
+            d = dist[b]
+            if d != -1 and d < hamming:
+                out.append(f"distance {d} below set difference {hamming} for nodes {a},{b}")
+            if d == 2 and hamming != 2:
+                out.append(f"nodes {a},{b} at distance 2 differ in {hamming} vertices")
+
+    moves = {}
+    for a, b, x, y in sg.edges:
+        moves[(a, b)] = (x, y)
+        moves[(b, a)] = (y, x)
+    for (a, b), (_, landed) in moves.items():
+        for c in nbrs[b]:
+            if c == a:
+                continue
+            departed, _ = moves[(b, c)]
+            chord = bool(skel.adj[a] >> c & 1)
+            if (landed == departed) != chord:
+                out.append(f"triangle law broken on path {a}-{b}-{c}")
+    return out
+
+
 def brute_labeled_graphs(n: int):
     """Every labeled graph on n vertices, in the scan's order: bit i of the
     counter decides the i-th pair of the column-major upper triangle."""

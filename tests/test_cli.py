@@ -266,3 +266,18 @@ def test_search_jobs_below_one_is_usage_error(capsys):
                          "--jobs", "0")
     assert code == 2 and out == ""
     assert "jobs" in err
+
+
+def test_compute_cap_below_one_is_usage_error(capsys):
+    for cap in ("0", "-5"):
+        code, out, err = run(capsys, "compute", "--g6", "Bw", "--cap", cap)
+        assert code == 2 and out == ""
+        assert "cap" in err
+
+
+def test_lemmas_empty_sweep_is_usage_error(capsys):
+    for flag, value in (("--wheel-max", "3"), ("--fan-max", "1"), ("--line-max", "1")):
+        code, out, err = run(capsys, "lemmas", "--wheel-max", "4", "--fan-max", "2",
+                             "--line-max", "2", flag, value)
+        assert code == 2 and out == ""
+        assert flag in err

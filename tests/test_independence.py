@@ -5,6 +5,7 @@ import pytest
 
 from islide import (
     Graph,
+    InvalidParameterError,
     SetCountCapError,
     complete_graph,
     cycle_graph,
@@ -171,6 +172,12 @@ def test_set_cap():
     g = Graph(12, [(2 * i, 2 * i + 1) for i in range(6)])
     with pytest.raises(SetCountCapError):
         maximal_independent_sets(g, cap=10)
+
+
+def test_set_cap_below_one_is_invalid():
+    for cap in (0, -5):
+        with pytest.raises(InvalidParameterError):
+            maximal_independent_sets(complete_graph(3), cap=cap)
 
 
 def test_theta_225_alpha_is_four():

@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from islide import (
     Graph,
     canonical_form,
@@ -105,3 +107,10 @@ def test_free_wrappers():
     assert not is_claw_free(star_graph(3))
     assert is_claw_free(theta_graph(1, 2, 5))
     assert is_diamond_free(theta_graph(1, 2, 5))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2**32), st.floats(0, 1))
+def test_diamond_free_matches_bruteforce(n, seed, p):
+    g = random_graph(random.Random(seed), n, p)
+    assert is_diamond_free(g) == (not brute_contains_induced(g, diamond_graph()))

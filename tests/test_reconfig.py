@@ -32,7 +32,12 @@ from islide import (
 )
 from islide.seeds import house_seed
 
-from bruteforce import brute_maximal_independent_sets, brute_slide_rows, random_graph
+from bruteforce import (
+    brute_maximal_independent_sets,
+    brute_slide_rows,
+    brute_structural_violations,
+    random_graph,
+)
 
 
 def test_cycle4_isets_do_not_slide():
@@ -95,20 +100,40 @@ def test_structural_invariants_random():
         assert structural_violations(i_graph(g)) == []
 
 
-def test_structural_invariants_beyond_200_nodes():
-    g = complete_graph(3)
-    for _ in range(4):
-        g = disjoint_union(g, complete_graph(3))
-    sg = i_graph(g)
-    assert sg.node_count() == 243
-    assert structural_violations(sg) == []
-    # the check runs at this size: dropping one slide is reported
-    a, b, _, _ = sg.edges[0]
+def _drop_slide(sg, k):
+    """sg with its k-th slide removed from both the labels and the skeleton."""
+    a, b, _, _ = sg.edges[k]
     rows = list(sg.skeleton.adj)
     rows[a] &= ~(1 << b)
     rows[b] &= ~(1 << a)
-    broken = dataclasses.replace(sg, edges=sg.edges[1:], skeleton=Graph._from_rows(rows))
-    assert structural_violations(broken)
+    return dataclasses.replace(sg, edges=sg.edges[:k] + sg.edges[k + 1:],
+                               skeleton=Graph._from_rows(rows))
+
+
+def test_structural_invariants_beyond_200_nodes():
+    for copies, order in ((5, 243), (6, 729)):
+        g = complete_graph(3)
+        for _ in range(copies - 1):
+            g = disjoint_union(g, complete_graph(3))
+        sg = i_graph(g)
+        assert sg.node_count() == order
+        assert structural_violations(sg) == []
+        # the check runs at this size: dropping one slide is reported
+        assert structural_violations(_drop_slide(sg, 0))
+
+
+def test_unlabeled_skeleton_edge_is_reported():
+    sg = i_graph(cycle_graph(5))
+    a, b, _, _ = sg.edges[0]
+    assert f"skeleton edge ({a},{b}) has no label" in structural_violations(
+        dataclasses.replace(sg, edges=sg.edges[1:]))
+
+
+def test_reversed_label_is_reported():
+    # a lone slide has no path through it, so only its label can catch this
+    sg = i_graph(complete_graph(2))
+    (a, b, x, y), = sg.edges
+    assert structural_violations(dataclasses.replace(sg, edges=((a, b, y, x),)))
 
 
 @st.composite
@@ -154,6 +179,18 @@ def test_slide_graph_matches_bruteforce(case):
         for a in range(len(family)) for b in range(a + 1, len(family)) if rows[a] >> b & 1
     ]
     assert list(sg.edges) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_families(), st.data())
+def test_structural_violations_agree_with_bruteforce(case, data):
+    g, family = case
+    # arbitrary equal-size families may break the laws; emptiness must agree
+    sg = build_slide_graph(g, family)
+    assert (structural_violations(sg) == []) == (brute_structural_violations(sg) == [])
+    if sg.edges:
+        broken = _drop_slide(sg, data.draw(st.integers(0, len(sg.edges) - 1)))
+        assert (structural_violations(broken) == []) == (brute_structural_violations(broken) == [])
 
 
 def test_star_center_degree_bounded_by_i():
