@@ -3,69 +3,165 @@
 ``canonical_form`` relabels a graph so that isomorphic graphs map to equal
 labeled graphs.  The partition is refined by neighbor-color multisets; when
 it stops short of discrete, the first non-singleton cell is split by
-individualizing each of its vertices in turn and the completion with the
-smallest edge mask (see ``graphs``) is kept.  Exponential in the worst case,
-which is fine at the scales used here (at most a few dozen vertices, mostly
-trees-with-cycles).
+individualizing each of its vertices in turn, and of all the discrete
+colorings (leaves) this tree reaches, the first with the smallest edge mask
+(see ``graphs``) is kept.
+
+The search prunes the tree without changing that choice.  Two leaves with
+equal edge masks give an automorphism, which is kept.  A vertex of the
+target cell is skipped when an automorphism fixing the individualized
+prefix maps an earlier searched vertex onto it (orbit pruning, as in McKay
+and Piperno, "Practical graph isomorphism II", 2014), and a leaf equal to
+the first or the best leaf sends the search back to where their paths
+branch.  Each skipped subtree is the image of one searched earlier, so
+every pruned leaf has an equal twin that comes first, and keys and
+relabelings are exactly those of the exhaustive search of earlier releases
+(``tests/bruteforce.py`` keeps it as ``reference_canonical``).  Refinement
+re-sorts only the vertices next to a vertex whose color just changed.
+Highly symmetric graphs stay cheap (Q5 and 4·C4 take milliseconds), since
+the leaves visited grow with the automorphisms found, not with the order of
+the automorphism group; the worst case is still exponential.
 """
 from __future__ import annotations
 
 from .graphs import Graph, bits, star_graph
 
 
-def _refine(g: Graph, colors: list[int]) -> list[int]:
-    """Stable coloring: repeatedly split classes by neighbor color multisets."""
-    n = g.n
-    while True:
-        sig = []
-        for v in range(n):
-            neigh = sorted(colors[u] for u in bits(g.adj[v]))
-            sig.append((colors[v], tuple(neigh)))
-        order = sorted(range(n), key=lambda v: sig[v])
-        new = [0] * n
-        c = 0
-        for i, v in enumerate(order):
-            if i > 0 and sig[v] != sig[order[i - 1]]:
-                c += 1
-            new[v] = c
-        if new == colors:
-            return colors
-        colors = new
+def _refine(nbrs: list[list[int]], adj: list[int], color: list[int], cend: list[int],
+            moved: list[int]) -> None:
+    """Refine an ordered partition in place to its stable coloring.
+
+    Vertex v lies in the cell of color ``color[v]``, and a cell's color is
+    its first position, so the cell of color s holds the positions
+    ``s .. cend[s] - 1``.  ``moved`` lists the vertices whose color just
+    changed.  Each synchronous round orders every cell by the sorted tuple
+    of its vertices' neighbour colors and splits it where the tuple changes.
+    Only a vertex with a moved neighbour can have a new tuple, and colors
+    only grow, so its tuple grows past that of the untouched rest of its
+    cell, which keeps the cell's color.  A round therefore sorts only the
+    touched vertices, and it stops when nothing moves.
+    """
+    label = color.__getitem__
+    while moved:
+        hit = 0
+        for v in moved:
+            hit |= adj[v]
+        touched: dict[int, list[int]] = {}
+        for u in bits(hit):
+            s = color[u]
+            if cend[s] - s > 1:
+                touched.setdefault(s, []).append(u)
+        # every new tuple is read before any color changes
+        pieces = [(s, sorted([(sorted(map(label, nbrs[v])), v) for v in vs]))
+                  for s, vs in touched.items()]
+        moved = []
+        for s, ranked in pieces:
+            e = cend[s]
+            lo = e - len(ranked)   # the untouched vertices hold positions s .. lo - 1
+            if lo == s:
+                # nothing untouched: the least tuples keep the cell's color
+                low = ranked[0][0]
+                if low == ranked[-1][0]:
+                    continue
+            else:
+                low = None
+            start = s
+            for i, (sig, v) in enumerate(ranked, lo):
+                if sig != low:
+                    cend[start] = i
+                    start, low = i, sig
+                if start != s:
+                    color[v] = start
+                    moved.append(v)
+            cend[start] = e
 
 
 def _canonical(g: Graph) -> tuple[int, list[int]]:
     """Edge mask and relabeling of the smallest completion: ``(key, perm)``."""
     n = g.n
-    m2 = sum(row.bit_count() for row in g.adj)
+    adj = g.adj
+    m2 = sum(row.bit_count() for row in adj)
     if m2 == 0 or m2 == n * (n - 1):
         # empty and complete graphs are fixed by every relabeling
         return g._edge_mask(), list(range(n))
-    best: tuple[int, list[int]] | None = None
+    nbrs = [list(bits(row)) for row in adj]
+    gens: list[list[int]] = []   # automorphisms found from equal leaves
+    first = best = None          # (key, perm, path) of the first and best leaf
 
-    def descend(colors: list[int]) -> None:
-        nonlocal best
-        colors = _refine(g, colors)
-        cells: dict[int, list[int]] = {}
-        for v in range(n):
-            cells.setdefault(colors[v], []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
-            # a discrete coloring is a relabeling: colors[v] is v's new index
-            key = g.relabel(colors)._edge_mask()
-            if best is None or key < best[0]:
-                best = (key, colors)
-            return
-        for v in target:
-            child = [2 * c for c in colors]
-            child[v] -= 1
-            descend(child)
+    def descend(path: list[int], color: list[int], cend: list[int], moved: list[int]) -> int:
+        """Search below the node reached by individualizing ``path``; return
+        the depth at which the search resumes."""
+        nonlocal first, best
+        _refine(nbrs, adj, color, cend, moved)
+        depth = len(path)
+        s = 0
+        while s < n and cend[s] - s == 1:
+            s = cend[s]
+        if s == n:
+            # a discrete coloring is a relabeling: color[v] is v's new index
+            key = g.relabel(color)._edge_mask()
+            if first is None:
+                first = best = (key, color, path)
+                return depth - 1
+            for seen in (first, best):
+                if key == seen[0]:
+                    # both leaves relabel g to one graph, so this is an automorphism
+                    inv = [0] * n
+                    for v, p in enumerate(seen[1]):
+                        inv[p] = v
+                    gens.append([inv[p] for p in color])
+                    # it fixes the shared prefix and maps the subtree this leaf
+                    # is in onto the earlier, fully searched one: resume where
+                    # the two paths branch
+                    d = 0
+                    while path[d] == seen[2][d]:
+                        d += 1
+                    return d
+            if key < best[0]:
+                best = (key, color, path)
+            return depth - 1
+        e = cend[s]
+        cell = [v for v in range(n) if color[v] == s]
+        # orbits on the target cell of the automorphisms fixing path pointwise,
+        # as a union-find whose roots are the least vertices of their orbits
+        root = {v: v for v in cell}
+        used = 0
+        for w in cell:
+            while used < len(gens):
+                gamma = gens[used]
+                used += 1
+                if all(gamma[p] == p for p in path):
+                    for v in cell:
+                        a, b = _find(root, v), _find(root, gamma[v])
+                        if a != b:
+                            root[max(a, b)] = min(a, b)
+            if _find(root, w) != w:
+                # the subtree of an orbit mate searched earlier maps onto this one
+                continue
+            # individualize w: it keeps color s, the rest of the cell moves to s + 1
+            rest = [v for v in cell if v != w]
+            child_color = color[:]
+            for v in rest:
+                child_color[v] = s + 1
+            child_cend = cend[:]
+            child_cend[s] = s + 1
+            child_cend[s + 1] = e
+            back = descend(path + [w], child_color, child_cend, rest)
+            if back < depth:
+                return back
+        return depth - 1
 
-    descend([0] * n)
-    return best
+    cend = [0] * n
+    cend[0] = n
+    # every vertex counts as moved at the root: isolated ones (empty tuple) stay first
+    descend([], [0] * n, cend, list(range(n)))
+    return best[0], best[1]
+
+
+def _find(root: dict[int, int], v: int) -> int:
+    while root[v] != v:
+        root[v] = v = root[root[v]]
+    return v
 
 
 def canonical_form(g: Graph) -> tuple[Graph, list[int]]:

@@ -79,6 +79,19 @@ def _extensions(args) -> set[int]:
             for nbrs in range(1 if connected_only else 0, 1 << n)}
 
 
+def _class_levels(max_n: int, connected_only: bool, run=map):
+    """Yield ``(n, level)`` for n = 1 .. max_n, where level is the sorted list
+    of canonical edge masks of the classes on n vertices (connected ones
+    only under connected_only).  A level is built only when it is asked
+    for; ``run`` maps ``_extensions`` over the parents."""
+    level = [0]
+    for n in range(1, max_n + 1):
+        if n > 1:
+            parents = ((n - 1, mask, connected_only) for mask in level)
+            level = sorted(set().union(*run(_extensions, parents)))
+        yield n, level
+
+
 def _i_graph_key(args) -> tuple[int, int]:
     """Canonical key of the i-graph skeleton of the graph with edge mask
     ``mask`` on n vertices."""
@@ -110,15 +123,11 @@ def scan_for_targets(
     wanted: dict[tuple[int, int], list[int]] = {}
     for idx, t in enumerate(targets):
         wanted.setdefault(canonical_key(t), []).append(idx)
-    level = [0]
     examined = 0
     hits: list[tuple[int, int, int]] = []
     with Pool(jobs) if jobs > 1 else nullcontext() as pool:
         run = pool.imap if jobs > 1 else map
-        for n in range(1, max_n + 1):
-            if n > 1:
-                parents = ((n - 1, mask, connected_only) for mask in level)
-                level = sorted(set().union(*run(_extensions, parents)))
+        for n, level in _class_levels(max_n, connected_only, run):
             keys = run(_i_graph_key, ((n, mask) for mask in level))
             for mask, key in zip(level, keys):
                 hits.extend((n, mask, idx) for idx in wanted.get(key, ()))

@@ -1,7 +1,7 @@
 """Independent oracles used to freeze expected values.
 
 Everything here goes by exhaustive enumeration (power sets, all
-permutations) and never calls the code paths under test, so a test can
+permutations, every leaf of a search tree) and never calls the code paths under test, so a test can
 check the fast implementation against these on small instances.
 """
 from __future__ import annotations
@@ -10,6 +10,7 @@ import itertools
 import random
 
 from islide import Graph
+from islide.graphs import bits
 
 
 def brute_maximal_independent_sets(g: Graph) -> set[int]:
@@ -94,6 +95,76 @@ def brute_structural_violations(sg) -> list[str]:
     return out
 
 
+def _refine(g: Graph, colors: list[int]) -> list[int]:
+    """Stable coloring: repeatedly split classes by neighbor color multisets."""
+    n = g.n
+    while True:
+        sig = []
+        for v in range(n):
+            neigh = sorted(colors[u] for u in bits(g.adj[v]))
+            sig.append((colors[v], tuple(neigh)))
+        order = sorted(range(n), key=lambda v: sig[v])
+        new = [0] * n
+        c = 0
+        for i, v in enumerate(order):
+            if i > 0 and sig[v] != sig[order[i - 1]]:
+                c += 1
+            new[v] = c
+        if new == colors:
+            return colors
+        colors = new
+
+
+def reference_canonical(g: Graph) -> tuple[int, list[int]]:
+    """Edge mask and relabeling of the smallest completion: ``(key, perm)``.
+
+    The leaf-exhaustive search: every leaf of the individualization tree is
+    relabeled, and the first one with the smallest edge mask wins.
+    ``iso._canonical`` prunes this tree by the automorphisms it finds and
+    must return exactly the same pair."""
+    n = g.n
+    m2 = sum(row.bit_count() for row in g.adj)
+    if m2 == 0 or m2 == n * (n - 1):
+        # empty and complete graphs are fixed by every relabeling
+        return g._edge_mask(), list(range(n))
+    best: tuple[int, list[int]] | None = None
+
+    def descend(colors: list[int]) -> None:
+        nonlocal best
+        colors = _refine(g, colors)
+        cells: dict[int, list[int]] = {}
+        for v in range(n):
+            cells.setdefault(colors[v], []).append(v)
+        target = None
+        for c in sorted(cells):
+            if len(cells[c]) > 1:
+                target = cells[c]
+                break
+        if target is None:
+            # a discrete coloring is a relabeling: colors[v] is v's new index
+            key = g.relabel(colors)._edge_mask()
+            if best is None or key < best[0]:
+                best = (key, colors)
+            return
+        for v in target:
+            child = [2 * c for c in colors]
+            child[v] -= 1
+            descend(child)
+
+    descend([0] * n)
+    return best
+
+
+def brute_classes(n: int) -> list[Graph]:
+    """One labeled graph per isomorphism class on n vertices, the first of
+    each class in ``brute_labeled_graphs`` order."""
+    reps: list[Graph] = []
+    for g in brute_labeled_graphs(n):
+        if not any(brute_is_isomorphic(g, r) for r in reps):
+            reps.append(g)
+    return reps
+
+
 def brute_labeled_graphs(n: int):
     """Every labeled graph on n vertices, in the scan's order: bit i of the
     counter decides the i-th pair of the column-major upper triangle."""
@@ -156,3 +227,43 @@ def random_permutation(rng: random.Random, n: int) -> list[int]:
     perm = list(range(n))
     rng.shuffle(perm)
     return perm
+
+
+def random_cubic_graph(rng: random.Random, n: int) -> Graph:
+    """A uniform 3-regular graph on n (even) vertices: pair up three copies
+    of each vertex at random until no loop or double edge appears."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2]) if a != b}
+        if len(edges) == 3 * n // 2:
+            return Graph(n, sorted(edges))
+
+
+def petersen_graph() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + inner + [(i, i + 5) for i in range(5)])
+
+
+def paley_graph(q: int) -> Graph:
+    """Paley graph of a prime q = 1 mod 4: a ~ b when a - b is a nonzero square."""
+    squares = {x * x % q for x in range(1, q)}
+    return Graph(q, [(a, b) for b in range(q) for a in range(b) if (b - a) % q in squares])
+
+
+def rook_graph(k: int) -> Graph:
+    """k x k rook's graph: cells of one row or one column are adjacent."""
+    cells = [(r, c) for r in range(k) for c in range(k)]
+    return Graph(k * k, [(i, j) for j, b in enumerate(cells) for i, a in enumerate(cells[:j])
+                         if a[0] == b[0] or a[1] == b[1]])
+
+
+def shrikhande_graph() -> Graph:
+    """Cayley graph of Z4 x Z4 with connection set +-(0,1), +-(1,0), +-(1,1):
+    strongly regular with the parameters of the 4 x 4 rook's graph, but not
+    isomorphic to it."""
+    cells = [(r, c) for r in range(4) for c in range(4)]
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    return Graph(16, [(i, j) for j, b in enumerate(cells) for i, a in enumerate(cells[:j])
+                      if ((b[0] - a[0]) % 4, (b[1] - a[1]) % 4) in steps])

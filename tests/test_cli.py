@@ -13,6 +13,7 @@ from islide.cli import main
 from islide.planar import rotation_to_file
 from islide.seeds import house_seed
 
+from bruteforce import brute_classes
 from test_planar import cube_with_rotation
 
 
@@ -222,6 +223,19 @@ def test_lemmas_small(capsys):
     assert "FAIL" not in out
 
 
+def test_lemmas_line_sweep_checks_one_root_per_class(capsys):
+    # the sweep walks isomorphism classes: its running count of connected
+    # triangle-free roots matches the oracle's classes size by size
+    total = 0
+    for n in range(2, 6):
+        total += sum(g.is_connected() and not g.has_triangle() for g in brute_classes(n))
+        code, out, _ = run(capsys, "lemmas", "--wheel-max", "4", "--fan-max", "2",
+                           "--line-max", str(n))
+        assert code == 0
+        assert f"line-graph sweep: {total} classes of connected triangle-free roots" in out
+    assert total == 11
+
+
 def test_compute_dot_and_graph6_formats(capsys):
     code, out, _ = run(capsys, "compute", "--g6", "Bw", "--format", "dot")
     assert code == 0 and "SlideGraph" in out
@@ -281,3 +295,10 @@ def test_lemmas_empty_sweep_is_usage_error(capsys):
                              "--line-max", "2", flag, value)
         assert code == 2 and out == ""
         assert flag in err
+
+
+def test_lemmas_line_max_above_scan_bound_is_usage_error(capsys):
+    # rejected before the wheel and fan sweeps print anything
+    code, out, err = run(capsys, "lemmas", "--line-max", "9")
+    assert code == 2 and out == ""
+    assert "--line-max" in err

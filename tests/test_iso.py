@@ -1,4 +1,5 @@
 import random
+import time
 
 from hypothesis import given, settings, strategies as st
 
@@ -6,10 +7,12 @@ from islide import (
     Graph,
     canonical_form,
     canonical_key,
+    cartesian_product,
     complete_graph,
     contains_induced,
     cycle_graph,
     diamond_graph,
+    disjoint_union,
     is_claw_free,
     is_diamond_free,
     is_isomorphic,
@@ -24,6 +27,8 @@ from bruteforce import (
     brute_is_isomorphic,
     random_graph,
     random_permutation,
+    rook_graph,
+    shrikhande_graph,
 )
 
 
@@ -49,6 +54,41 @@ def test_canonical_form_is_relabeling():
         g = random_graph(rng, rng.randint(1, 10), rng.random())
         canon, perm = canonical_form(g)
         assert canon == g.relabel(perm)
+
+
+def test_symmetric_graphs_match_their_relabelings():
+    # from 1,296 automorphisms (K3 x K3 x K3) to 2 * 28! (the last): the
+    # search must stay small on them, not visit a leaf per automorphism
+    k2, k3, c4 = complete_graph(2), complete_graph(3), cycle_graph(4)
+    q5 = k2
+    for _ in range(4):
+        q5 = cartesian_product(q5, k2)
+    four_c4 = disjoint_union(disjoint_union(c4, c4), disjoint_union(c4, c4))
+    graphs = [
+        q5,
+        four_c4,
+        cartesian_product(cartesian_product(k3, k3), k3),
+        Graph(10, [(0, 1)]),
+        Graph(30, [(0, 1)]),
+    ]
+    rng = random.Random(4)
+    for g in graphs:
+        start = time.perf_counter()
+        key = canonical_key(g)
+        assert time.perf_counter() - start < 2.0
+        h = g.relabel(random_permutation(rng, g.n))
+        assert canonical_key(h) == key
+        assert is_isomorphic(g, h)
+        canon, perm = canonical_form(h)
+        assert canon == h.relabel(perm) == Graph._from_mask(*key)
+
+
+def test_rook_graph_is_not_shrikhande():
+    # both strongly regular (16, 6, 2, 2): refinement alone cannot tell them apart
+    rook, shrikhande = rook_graph(4), shrikhande_graph()
+    assert rook.degree_sequence() == shrikhande.degree_sequence()
+    assert is_isomorphic(rook, shrikhande) is False
+    assert is_isomorphic(shrikhande, shrikhande.relabel(random_permutation(random.Random(6), 16)))
 
 
 def test_iso_positive_examples():

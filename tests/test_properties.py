@@ -1,4 +1,4 @@
-"""Property tests of the edge-mask codec, of canonical keys and of the
+"""Property tests of the edge-mask codec, of canonical labelling and of the
 maximal-independent-set families against the independent oracles in
 ``bruteforce``."""
 import random
@@ -9,18 +9,30 @@ from islide import (
     Graph,
     canonical_form,
     canonical_key,
+    cycle_graph,
+    diamond_graph,
+    disjoint_union,
     from_graph6,
     independence_report,
     maximal_independent_sets,
+    path_graph,
     to_graph6,
 )
+from islide import iso
 
 from bruteforce import (
     brute_graph6,
     brute_is_isomorphic,
     brute_labeled_graphs,
     brute_maximal_independent_sets,
+    paley_graph,
+    petersen_graph,
+    random_cubic_graph,
     random_graph,
+    random_permutation,
+    reference_canonical,
+    rook_graph,
+    shrikhande_graph,
 )
 
 
@@ -61,7 +73,7 @@ def test_edge_mask_inverts_from_mask(case):
 
 
 @settings(deadline=None)
-@given(graphs(8), st.randoms())
+@given(graphs(10), st.randoms())
 def test_canonical_key_invariant_under_relabeling(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
@@ -69,9 +81,29 @@ def test_canonical_key_invariant_under_relabeling(g, rng):
 
 
 @settings(deadline=None)
-@given(graphs(8))
+@given(graphs(10))
 def test_canonical_key_decodes_to_canonical_form(g):
     assert Graph._from_mask(*canonical_key(g)) == canonical_form(g)[0]
+
+
+@settings(deadline=None)
+@given(graphs(8))
+def test_canonical_matches_leaf_exhaustive_reference(g):
+    assert iso._canonical(g) == reference_canonical(g)
+
+
+def test_canonical_matches_reference_on_symmetric_graphs():
+    # large automorphism groups are where pruning acts; G+G+K1 has
+    # automorphisms that swap whole components
+    rng = random.Random(8)
+    named = [petersen_graph(), paley_graph(13), rook_graph(4), shrikhande_graph()]
+    inputs = named + [g.relabel(random_permutation(rng, g.n)) for g in named]
+    inputs += [random_cubic_graph(rng, rng.choice((4, 6, 8, 10, 12))) for _ in range(20)]
+    for h in (cycle_graph(4), cycle_graph(5), path_graph(3), diamond_graph()):
+        twice = disjoint_union(disjoint_union(h, h), Graph(1))
+        inputs += [twice.relabel(random_permutation(rng, twice.n)) for _ in range(3)]
+    for g in inputs:
+        assert iso._canonical(g) == reference_canonical(g)
 
 
 @settings(deadline=None)

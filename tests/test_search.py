@@ -22,8 +22,8 @@ from islide import (
 from islide.seeds import house_seed
 
 from bruteforce import (
+    brute_classes,
     brute_is_isomorphic,
-    brute_labeled_graphs,
     brute_maximal_independent_sets,
     brute_slide_rows,
 )
@@ -82,13 +82,7 @@ def test_scan_matches_bruteforce_oracle():
     # grouped by the all-permutations check) whose oracle i-graph is
     # isomorphic to the target, in (n, canonical mask) order
     targets = (cycle_graph(4), theta_graph(1, 2, 3))
-    classes = []
-    for n in range(1, 6):
-        reps = []
-        for g in brute_labeled_graphs(n):
-            if not any(brute_is_isomorphic(g, r) for r in reps):
-                reps.append(g)
-        classes.extend(reps)
+    classes = [g for n in range(1, 6) for g in brute_classes(n)]
     assert len(classes) == 52
     expected = {t: [] for t in targets}
     for g in classes:
