@@ -85,7 +85,8 @@ def _canonical(g: Graph) -> tuple[int, list[int]]:
         # empty and complete graphs are fixed by every relabeling
         return g._edge_mask(), list(range(n))
     nbrs = [list(bits(row)) for row in adj]
-    gens: list[list[int]] = []   # automorphisms found from equal leaves
+    # automorphisms found from equal leaves, each with the vertices it moves
+    gens: list[tuple[list[int], list[int]]] = []
     first = best = None          # (key, perm, path) of the first and best leaf
 
     def descend(path: list[int], color: list[int], cend: list[int], moved: list[int]) -> int:
@@ -109,7 +110,8 @@ def _canonical(g: Graph) -> tuple[int, list[int]]:
                     inv = [0] * n
                     for v, p in enumerate(seen[1]):
                         inv[p] = v
-                    gens.append([inv[p] for p in color])
+                    gamma = [inv[p] for p in color]
+                    gens.append((gamma, [v for v in range(n) if gamma[v] != v]))
                     # it fixes the shared prefix and maps the subtree this leaf
                     # is in onto the earlier, fully searched one: resume where
                     # the two paths branch
@@ -128,10 +130,13 @@ def _canonical(g: Graph) -> tuple[int, list[int]]:
         used = 0
         for w in cell:
             while used < len(gens):
-                gamma = gens[used]
+                gamma, support = gens[used]
                 used += 1
                 if all(gamma[p] == p for p in path):
-                    for v in cell:
+                    # it maps the cell onto itself, and its fixed points join nothing
+                    for v in support:
+                        if color[v] != s:
+                            continue
                         a, b = _find(root, v), _find(root, gamma[v])
                         if a != b:
                             root[max(a, b)] = min(a, b)

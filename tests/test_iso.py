@@ -57,7 +57,7 @@ def test_canonical_form_is_relabeling():
 
 
 def test_symmetric_graphs_match_their_relabelings():
-    # from 1,296 automorphisms (K3 x K3 x K3) to 2 * 28! (the last): the
+    # from 1,296 automorphisms (K3 x K3 x K3) to 2 * 62! (the last): the
     # search must stay small on them, not visit a leaf per automorphism
     k2, k3, c4 = complete_graph(2), complete_graph(3), cycle_graph(4)
     q5 = k2
@@ -70,6 +70,7 @@ def test_symmetric_graphs_match_their_relabelings():
         cartesian_product(cartesian_product(k3, k3), k3),
         Graph(10, [(0, 1)]),
         Graph(30, [(0, 1)]),
+        Graph(64, [(0, 1)]),
     ]
     rng = random.Random(4)
     for g in graphs:

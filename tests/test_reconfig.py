@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 
@@ -147,8 +148,13 @@ def small_graphs(draw):
 @st.composite
 def graphs_with_families(draw):
     g = draw(small_graphs())
-    kind = draw(st.sampled_from(["i", "alpha", "any"]))
-    if kind == "any":
+    kind = draw(st.sampled_from(["i", "alpha", "any", "subsets"]))
+    if kind == "subsets":
+        # every k-subset of some vertices: many sets share each (k-1)-subset
+        chosen = draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=g.n))
+        k = draw(st.integers(1, len(chosen)))
+        family = [mask_of(c) for c in itertools.combinations(sorted(chosen), k)]
+    elif kind == "any":
         # arbitrary equal-size sets: for maximal independent sets a one-vertex
         # difference already forces the two vertices to be adjacent
         k = draw(st.integers(1, g.n))
@@ -161,6 +167,19 @@ def graphs_with_families(draw):
     return g, sorted(family)
 
 
+def _expected_edges(g, family, rows):
+    """Labeled edges in (a, b) order from oracle rows, each label read off
+    the set difference."""
+    def only_in(s, t):
+        (v,) = [v for v in range(g.n) if s >> v & 1 and not t >> v & 1]
+        return v
+
+    return [
+        (a, b, only_in(family[a], family[b]), only_in(family[b], family[a]))
+        for a in range(len(family)) for b in range(a + 1, len(family)) if rows[a] >> b & 1
+    ]
+
+
 @settings(max_examples=200, deadline=None)
 @given(graphs_with_families())
 def test_slide_graph_matches_bruteforce(case):
@@ -169,16 +188,7 @@ def test_slide_graph_matches_bruteforce(case):
     rows = brute_slide_rows(g, family)
     assert sg.nodes == tuple(family)
     assert sg.skeleton.adj == tuple(rows)
-
-    def only_in(s, t):
-        (v,) = [v for v in range(g.n) if s >> v & 1 and not t >> v & 1]
-        return v
-
-    expected = [
-        (a, b, only_in(family[a], family[b]), only_in(family[b], family[a]))
-        for a in range(len(family)) for b in range(a + 1, len(family)) if rows[a] >> b & 1
-    ]
-    assert list(sg.edges) == expected
+    assert list(sg.edges) == _expected_edges(g, family, rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -191,6 +201,35 @@ def test_structural_violations_agree_with_bruteforce(case, data):
     if sg.edges:
         broken = _drop_slide(sg, data.draw(st.integers(0, len(sg.edges) - 1)))
         assert (structural_violations(broken) == []) == (brute_structural_violations(broken) == [])
+
+
+@pytest.mark.parametrize("n, k", [(7, 3), (8, 4)])
+def test_johnson_graphs_match_bruteforce(n, k):
+    # all k-subsets of K_n slide into J(n, k): every (k-1)-subset is shared
+    # by n - k + 1 > 2 sets, so each bucket is compared against several sets
+    g = complete_graph(n)
+    family = sorted(mask_of(c) for c in itertools.combinations(range(n), k))
+    sg = build_slide_graph(g, family)
+    rows = brute_slide_rows(g, family)
+    assert sg.skeleton.adj == tuple(rows)
+    assert list(sg.edges) == _expected_edges(g, family, rows)
+    assert set(sg.skeleton.degree_sequence()) == {k * (n - k)}
+
+
+def test_eight_triangles_slide_graph():
+    # the i-graph of 8 K3 is the Hamming graph H(8, 3): 3^8 nodes of degree 16
+    g = complete_graph(3)
+    for _ in range(7):
+        g = disjoint_union(g, complete_graph(3))
+    sg = i_graph(g)
+    assert sg.node_count() == 6561
+    assert len(sg.edges) == 52488
+    assert set(sg.skeleton.degree_sequence()) == {16}
+    assert all(e[:2] < f[:2] for e, f in zip(sg.edges, sg.edges[1:]))
+    for a, b, x, y in sg.edges:
+        assert a < b
+        assert sg.nodes[a] & ~sg.nodes[b] == 1 << x
+        assert sg.nodes[b] & ~sg.nodes[a] == 1 << y
 
 
 def test_star_center_degree_bounded_by_i():
