@@ -12,12 +12,10 @@ import sys
 
 from .errors import (
     CapacityError,
-    DiamondFoundError,
     FormatError,
     GraphError,
     InvalidParameterError,
     InvalidThetaSpecError,
-    NotALineGraphError,
     SetCountCapError,
 )
 from .formats import from_edge_list, from_graph6, to_dot, to_edge_list, to_graph6
@@ -193,11 +191,7 @@ def cmd_search(args) -> int:
 
 def cmd_lineseed(args) -> int:
     h = _read_graph(args)
-    try:
-        g = seed_from_line_graph(h)
-    except (DiamondFoundError, NotALineGraphError) as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return EXIT_VERDICT
+    g = seed_from_line_graph(h)
     rep = independence_report(g)
     sg = build_slide_graph(g, list(rep.i_sets))
     ok = is_isomorphic(sg.skeleton, h)

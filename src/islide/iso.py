@@ -24,7 +24,7 @@ the automorphism group; the worst case is still exponential.
 """
 from __future__ import annotations
 
-from .graphs import Graph, bits, star_graph
+from .graphs import Graph, bits, mask_of, star_graph
 
 
 def _refine(nbrs: list[list[int]], adj: list[int], color: list[int], cend: list[int],
@@ -85,13 +85,15 @@ def _canonical(g: Graph) -> tuple[int, list[int]]:
         # empty and complete graphs are fixed by every relabeling
         return g._edge_mask(), list(range(n))
     nbrs = [list(bits(row)) for row in adj]
-    # automorphisms found from equal leaves, each with the vertices it moves
-    gens: list[tuple[list[int], list[int]]] = []
+    # automorphisms found from equal leaves, each with the mask of the vertices it moves
+    gens: list[tuple[list[int], int]] = []
     first = best = None          # (key, perm, path) of the first and best leaf
 
-    def descend(path: list[int], color: list[int], cend: list[int], moved: list[int]) -> int:
-        """Search below the node reached by individualizing ``path``; return
-        the depth at which the search resumes."""
+    def descend(path: list[int], fixed: int, color: list[int], cend: list[int],
+                moved: list[int]) -> int:
+        """Search below the node reached by individualizing ``path`` (the
+        vertices of mask ``fixed``); return the depth at which the search
+        resumes."""
         nonlocal first, best
         _refine(nbrs, adj, color, cend, moved)
         depth = len(path)
@@ -111,7 +113,7 @@ def _canonical(g: Graph) -> tuple[int, list[int]]:
                     for v, p in enumerate(seen[1]):
                         inv[p] = v
                     gamma = [inv[p] for p in color]
-                    gens.append((gamma, [v for v in range(n) if gamma[v] != v]))
+                    gens.append((gamma, mask_of(v for v in range(n) if gamma[v] != v)))
                     # it fixes the shared prefix and maps the subtree this leaf
                     # is in onto the earlier, fully searched one: resume where
                     # the two paths branch
@@ -124,6 +126,7 @@ def _canonical(g: Graph) -> tuple[int, list[int]]:
             return depth - 1
         e = cend[s]
         cell = [v for v in range(n) if color[v] == s]
+        cell_mask = mask_of(cell)
         # orbits on the target cell of the automorphisms fixing path pointwise,
         # as a union-find whose roots are the least vertices of their orbits
         root = {v: v for v in cell}
@@ -132,11 +135,9 @@ def _canonical(g: Graph) -> tuple[int, list[int]]:
             while used < len(gens):
                 gamma, support = gens[used]
                 used += 1
-                if all(gamma[p] == p for p in path):
+                if not support & fixed:
                     # it maps the cell onto itself, and its fixed points join nothing
-                    for v in support:
-                        if color[v] != s:
-                            continue
+                    for v in bits(support & cell_mask):
                         a, b = _find(root, v), _find(root, gamma[v])
                         if a != b:
                             root[max(a, b)] = min(a, b)
@@ -151,7 +152,7 @@ def _canonical(g: Graph) -> tuple[int, list[int]]:
             child_cend = cend[:]
             child_cend[s] = s + 1
             child_cend[s + 1] = e
-            back = descend(path + [w], child_color, child_cend, rest)
+            back = descend(path + [w], fixed | 1 << w, child_color, child_cend, rest)
             if back < depth:
                 return back
         return depth - 1
@@ -159,7 +160,7 @@ def _canonical(g: Graph) -> tuple[int, list[int]]:
     cend = [0] * n
     cend[0] = n
     # every vertex counts as moved at the root: isolated ones (empty tuple) stay first
-    descend([], [0] * n, cend, list(range(n)))
+    descend([], 0, [0] * n, cend, list(range(n)))
     return best[0], best[1]
 
 

@@ -4,12 +4,14 @@ The i-graph of G has one node per i-set; two nodes are adjacent when one set
 becomes the other by sliding a single token along an edge of G, that is,
 the sets differ in exactly one vertex on each side and those two vertices
 are adjacent in G.  The alpha-graph is the same construction over the
-maximum independent sets.
+maximum independent sets.  A slide graph keeps only its nodes and skeleton,
+since the move along an edge is read off the two node sets.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import FormatError, GraphError, InvalidParameterError
 from .formats import to_dot
@@ -19,21 +21,29 @@ from .independence import DEFAULT_SET_CAP, independence_report
 
 @dataclass(frozen=True)
 class SlideGraph:
-    """Reconfiguration graph: base graph, node sets, move-labeled edges,
-    and the skeleton (the reconfiguration graph itself as a Graph).
+    """Reconfiguration graph: base graph, node sets, and the skeleton (the
+    reconfiguration graph itself as a Graph, node ``i`` being ``nodes[i]``).
 
-    ``nodes`` are bitmasks sorted ascending.  Each edge is
-    ``(i, j, x, y)`` with ``i < j``: sliding the token at ``x`` to ``y``
-    turns ``nodes[i]`` into ``nodes[j]``.
+    ``nodes`` are bitmasks sorted ascending.
     """
 
     base: Graph
     nodes: tuple[int, ...]
-    edges: tuple[tuple[int, int, int, int], ...]
     skeleton: Graph
 
     def node_count(self) -> int:
         return len(self.nodes)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Skeleton edges ``(a, b, x, y)`` with ``a < b``, in (a, b) order,
+        labeled on first use: sliding the token at ``x`` to ``y`` turns
+        ``nodes[a]`` into ``nodes[b]``."""
+        nodes = self.nodes
+        return tuple((a, b, (nodes[a] & ~nodes[b]).bit_length() - 1,
+                      (nodes[b] & ~nodes[a]).bit_length() - 1)
+                     for a, row in enumerate(self.skeleton.adj)
+                     for b in bits(row >> a + 1 << a + 1))   # the neighbours b > a
 
 
 def build_slide_graph(g: Graph, family: list[int]) -> SlideGraph:
@@ -45,7 +55,7 @@ def build_slide_graph(g: Graph, family: list[int]) -> SlideGraph:
     then they share only that one, so each set S is looked up under every
     key S - {y} in buckets of the earlier sets: every candidate pair is met
     once, in O(m * i) lookups plus the pairs within each bucket, not m^2 / 2
-    comparisons.  Edges are sorted by node pair at the end.
+    comparisons.
     """
     nodes = sorted(set(family))
     if not nodes:
@@ -59,7 +69,6 @@ def build_slide_graph(g: Graph, family: list[int]) -> SlideGraph:
             raise InvalidParameterError("mixed set cardinalities in family")
     adj = g.adj
     rows = [0] * len(nodes)
-    edges = []
     buckets: dict[int, list[int]] = {}   # key S - {y}: indices of the earlier sets S
     for b, sb in enumerate(nodes):
         rest = sb
@@ -77,10 +86,8 @@ def build_slide_graph(g: Graph, family: list[int]) -> SlideGraph:
                 if adj[x] >> y & 1:
                     rows[a] |= 1 << b
                     rows[b] |= 1 << a
-                    edges.append((a, b, x, y))
             bucket.append(b)
-    edges.sort()
-    return SlideGraph(g, tuple(nodes), tuple(edges), Graph._from_rows(rows))
+    return SlideGraph(g, tuple(nodes), Graph._from_rows(rows))
 
 
 def i_graph(g: Graph, cap: int = DEFAULT_SET_CAP) -> SlideGraph:
@@ -96,41 +103,33 @@ def alpha_graph(g: Graph, cap: int = DEFAULT_SET_CAP) -> SlideGraph:
 # -- structural checks -------------------------------------------------
 
 def structural_violations(sg: SlideGraph) -> list[str]:
-    """Check the labels and the distance and triangle laws every slide graph
-    must satisfy, in one pass over the skeleton rows.
+    """Check the slide, distance and triangle laws every slide graph must
+    satisfy, in one pass over the skeleton rows.
 
-    Every skeleton edge needs one label, a slide along a base edge.  Adjacent
-    nodes differ in one vertex on each side, which bounds every distance
-    from below by the set difference, since set differences obey the
-    triangle inequality.  Nodes at distance 2 differ in two vertices.  Two
-    slides compose to an edge exactly when the first landing vertex is the
-    vertex the second slide picks up.
+    Every skeleton edge is a slide along a base edge: adjacent nodes differ
+    in one vertex on each side, and those two vertices are adjacent in the
+    base.  That bounds every distance from below by the set difference,
+    since set differences obey the triangle inequality.  Nodes at distance 2
+    differ in two vertices.  Two slides compose to an edge exactly when the
+    first landing vertex is the vertex the second slide picks up.
 
     Returns human-readable violation strings (empty list when clean).
     """
     out: list[str] = []
     nodes = sg.nodes
     rows = sg.skeleton.adj
-    skeleton_edges = {(a, b) for a, row in enumerate(rows) for b in bits(row) if a < b}
-    labeled = set()
-    for a, b, x, y in sg.edges:
-        labeled.add((a, b))
-        if (a, b) not in skeleton_edges:
-            out.append(f"edge ({a},{b}) is not a skeleton edge")
-        elif nodes[a] & ~nodes[b] != 1 << x or nodes[b] & ~nodes[a] != 1 << y:
-            out.append(f"edge ({a},{b}) label ({x},{y}) does not match set difference")
-        elif not sg.base.adj[x] >> y & 1:
-            out.append(f"edge ({a},{b}) slides along a non-edge ({x},{y})")
-    for a, b in sorted(skeleton_edges - labeled):
-        out.append(f"skeleton edge ({a},{b}) has no label")
-
     for a, row in enumerate(rows):
         reach = 0
         for b in bits(row):
             reach |= rows[b]
             landed = nodes[b] & ~nodes[a]
-            if a < b and landed.bit_count() > 1:
-                out.append(f"distance 1 below set difference {landed.bit_count()} for nodes {a},{b}")
+            if a < b:
+                if landed.bit_count() > 1:
+                    out.append(f"distance 1 below set difference {landed.bit_count()} for nodes {a},{b}")
+                else:
+                    x, y = (nodes[a] & ~nodes[b]).bit_length() - 1, landed.bit_length() - 1
+                    if not sg.base.adj[x] >> y & 1:
+                        out.append(f"edge ({a},{b}) slides along a non-edge ({x},{y})")
             for c in bits(rows[b] & ~(1 << a)):
                 departed = nodes[b] & ~nodes[c]
                 chord = row >> c & 1
@@ -175,13 +174,13 @@ def slide_graph_from_json(text: str) -> SlideGraph:
     Raises FormatError unless ``text`` is what that function writes: JSON
     with the base graph, each node a strictly increasing list of base
     vertices, the nodes in strictly ascending mask order, and exactly the
-    slide edges of those nodes.
+    slide edges of those nodes, once each, in (u, v) order.
     """
     try:
         payload = json.loads(text)
         base = Graph(payload["base"]["n"], [tuple(e) for e in payload["base"]["edges"]])
         nodes = payload["nodes"]
-        moves = {(e["u"], e["v"], e["moved_from"], e["moved_to"]) for e in payload["edges"]}
+        moves = [(e["u"], e["v"], e["moved_from"], e["moved_to"]) for e in payload["edges"]]
     except (ValueError, KeyError, TypeError, GraphError) as exc:
         raise FormatError(f"malformed slide graph JSON: {exc!r}") from exc
     if not isinstance(nodes, list):
@@ -197,7 +196,7 @@ def slide_graph_from_json(text: str) -> SlideGraph:
         rebuilt = build_slide_graph(base, family)
     except InvalidParameterError as exc:
         raise FormatError(f"slide graph nodes: {exc}") from exc
-    if moves != set(rebuilt.edges):
+    if moves != list(rebuilt.edges):
         raise FormatError("serialized edges disagree with slide adjacency")
     return rebuilt
 

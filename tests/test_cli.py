@@ -203,6 +203,12 @@ def test_lineseed_diamond_rejected(capsys):
     assert "rejected" in err
 
 
+def test_lineseed_claw_rejected(capsys):
+    code, _, err = run(capsys, "lineseed", "--g6", "CF")
+    assert code == 1
+    assert "no Krausz partition" in err
+
+
 def test_dualseed_cube(tmp_path, capsys):
     g, rot = cube_with_rotation()
     gpath = tmp_path / "cube.edges"

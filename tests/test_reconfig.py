@@ -102,13 +102,12 @@ def test_structural_invariants_random():
 
 
 def _drop_slide(sg, k):
-    """sg with its k-th slide removed from both the labels and the skeleton."""
+    """sg with its k-th slide removed from the skeleton."""
     a, b, _, _ = sg.edges[k]
     rows = list(sg.skeleton.adj)
     rows[a] &= ~(1 << b)
     rows[b] &= ~(1 << a)
-    return dataclasses.replace(sg, edges=sg.edges[:k] + sg.edges[k + 1:],
-                               skeleton=Graph._from_rows(rows))
+    return dataclasses.replace(sg, skeleton=Graph._from_rows(rows))
 
 
 def test_structural_invariants_beyond_200_nodes():
@@ -123,18 +122,12 @@ def test_structural_invariants_beyond_200_nodes():
         assert structural_violations(_drop_slide(sg, 0))
 
 
-def test_unlabeled_skeleton_edge_is_reported():
+def test_slide_along_non_edge_is_reported():
     sg = i_graph(cycle_graph(5))
-    a, b, _, _ = sg.edges[0]
-    assert f"skeleton edge ({a},{b}) has no label" in structural_violations(
-        dataclasses.replace(sg, edges=sg.edges[1:]))
-
-
-def test_reversed_label_is_reported():
-    # a lone slide has no path through it, so only its label can catch this
-    sg = i_graph(complete_graph(2))
-    (a, b, x, y), = sg.edges
-    assert structural_violations(dataclasses.replace(sg, edges=((a, b, y, x),)))
+    a, b, x, y = sg.edges[0]
+    base = Graph(sg.base.n, [e for e in sg.base.edges() if e != (min(x, y), max(x, y))])
+    assert f"edge ({a},{b}) slides along a non-edge ({x},{y})" in structural_violations(
+        dataclasses.replace(sg, base=base))
 
 
 @st.composite
@@ -326,6 +319,18 @@ def test_json_rejects_nodes_out_of_mask_order():
 def test_json_rejects_edges_that_disagree():
     payload = _house_seed_payload()
     payload["edges"].pop()
+    _rejected(payload)
+
+
+def test_json_rejects_duplicate_edge():
+    payload = _house_seed_payload()
+    payload["edges"].append(payload["edges"][0])
+    _rejected(payload)
+
+
+def test_json_rejects_edges_out_of_order():
+    payload = _house_seed_payload()
+    payload["edges"][0], payload["edges"][1] = payload["edges"][1], payload["edges"][0]
     _rejected(payload)
 
 
