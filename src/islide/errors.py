@@ -61,6 +61,6 @@ class NotPlanarEmbeddingError(GraphError):
 
 
 class DeletionPreconditionError(GraphError):
-    """Triangle surgery preconditions violated (not a maximal-clique triangle,
-    not an i-set of the complement, or the i-set family would become empty)."""
+    """Deletion preconditions violated (the target is not an i-set of the
+    complement, or it is the only one)."""
 

@@ -2,18 +2,19 @@
 
 A seed's i-graph depends only on its isomorphism class, so the scan visits
 each class of graphs on up to eight vertices once.  Level 1 is the single
-vertex; level n is the set of canonical edge masks (see ``iso``) of every
-one-vertex extension of every level-(n-1) class.  Every graph is such an
-extension of one of its vertex-deleted subgraphs, and every connected graph
-of a connected one (delete a vertex that is not a cut vertex), so the
-levels hold exactly the classes, or exactly the connected classes when the
-new vertex must have a neighbour.  Each class is tested once: the library's
-own ``i_graph`` builds its i-graph, and one canonical key of the skeleton is
-looked up among the targets' keys.  Both stages run through the builtin
-``map`` for one job or a process pool's ``imap`` for more, per parent to
-build a level and per class to test it.  Levels are sorted, so witnesses
-come out in (n, canonical edge mask) order, and an early stop ends after
-the same level whatever the number of jobs.
+vertex; level n is the set of canonical edge masks (see ``iso``) of the
+one-vertex extensions of the level-(n-1) classes whose new vertex has
+maximum degree.  Every graph G is G - v plus v for a vertex v of maximum
+degree, and the class of G - v is in the level below, so the levels hold
+exactly the classes (McKay's canonical deletion, J. Algorithms 1998).  The
+connected classes are the connected members of each level, since deleting
+a maximum-degree vertex can disconnect a graph.  Each class is tested
+once: the library's own ``i_graph`` builds its i-graph, and one canonical
+key of the skeleton is looked up among the targets' keys.  Both stages run
+through the builtin ``map`` for one job or a process pool's ``imap`` for
+more, per parent to build a level and per class to test it.  Levels are
+sorted, so witnesses come out in (n, canonical edge mask) order, and an
+early stop ends after the same level whatever the number of jobs.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from multiprocessing import Pool
 
 from .errors import InvalidParameterError
 from .formats import to_graph6
-from .graphs import Graph
+from .graphs import Graph, mask_of
 from .iso import canonical_key
 from .reconfig import i_graph
 
@@ -57,39 +58,43 @@ class SearchReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def enumerate_labeled_graphs(n: int, connected_only: bool = False):
+def enumerate_labeled_graphs(n: int):
     """Every labeled simple graph on n vertices exactly once, in edge mask
     order.  Hard-capped at n = 8."""
     if not 1 <= n <= _SCAN_MAX_N:
         raise InvalidParameterError(f"n={n} outside 1..{_SCAN_MAX_N}")
     for mask in range(1 << (n * (n - 1) // 2)):
-        g = Graph._from_mask(n, mask)
-        if not connected_only or g.is_connected():
-            yield g
+        yield Graph._from_mask(n, mask)
 
 
 def _extensions(args) -> set[int]:
     """Canonical edge masks of the one-vertex extensions of the graph with
-    edge mask ``mask`` on n vertices.  Under connected_only the new vertex
-    needs a neighbour."""
-    n, mask, connected_only = args
+    edge mask ``mask`` on n vertices in which the new vertex has maximum
+    degree: at least the top degree, and above it when it touches a vertex
+    of top degree."""
+    n, mask = args
+    degrees = [row.bit_count() for row in Graph._from_mask(n, mask).adj]
+    top = max(degrees)
+    busiest = mask_of(v for v, d in enumerate(degrees) if d == top)
     # the new vertex n takes the edge mask bits n(n-1)/2 .. n(n+1)/2 - 1
     shift = n * (n - 1) // 2
     return {canonical_key(Graph._from_mask(n + 1, mask | nbrs << shift))[1]
-            for nbrs in range(1 if connected_only else 0, 1 << n)}
+            for nbrs in range(1 << n)
+            if nbrs.bit_count() > top or nbrs.bit_count() == top and not nbrs & busiest}
 
 
 def _class_levels(max_n: int, connected_only: bool, run=map):
     """Yield ``(n, level)`` for n = 1 .. max_n, where level is the sorted list
-    of canonical edge masks of the classes on n vertices (connected ones
-    only under connected_only).  A level is built only when it is asked
-    for; ``run`` maps ``_extensions`` over the parents."""
+    of canonical edge masks of the classes on n vertices.  Every class is
+    built; connected_only keeps the connected ones in what is yielded.  A
+    level is built only when it is asked for; ``run`` maps ``_extensions``
+    over the parents."""
     level = [0]
     for n in range(1, max_n + 1):
         if n > 1:
-            parents = ((n - 1, mask, connected_only) for mask in level)
-            level = sorted(set().union(*run(_extensions, parents)))
-        yield n, level
+            level = sorted(set().union(*run(_extensions, ((n - 1, mask) for mask in level))))
+        yield n, ([m for m in level if Graph._from_mask(n, m).is_connected()]
+                  if connected_only else level)
 
 
 def _i_graph_key(args) -> tuple[int, int]:

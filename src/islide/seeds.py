@@ -1,5 +1,5 @@
-"""Complement-seed constructions for theta graphs, plus deletion surgery,
-house and planar seeds, and the verification harness.
+"""Complement-seed constructions for theta graphs, plus deletion of one
+i-set, house and planar seeds, and the verification harness.
 
 Every builder returns the complement seed: a graph gbar whose triangles
 that are maximal cliques are the i-sets of G = complement(gbar), adjacent
@@ -702,35 +702,24 @@ def house_seed() -> tuple[Graph, ConstructionTrace]:
 # -- deletion surgery ---------------------------------------------------
 
 def apply_deletion(gbar: Graph, t: int) -> Graph:
-    """Glue a new apex onto the triangle t of gbar, removing t from the
-    i-set family of complement(gbar) and changing nothing else.
+    """Add one vertex adjacent in gbar to exactly t (in G = complement(gbar),
+    adjacent to V(G) - t), removing the i-set t from the i-set family of G
+    and changing nothing else, so the i-graph becomes I(G) - t.
 
-    t must be a maximal-clique triangle that is currently an i-set of the
-    complement, and at least one other i-set must remain.
+    The new vertex lies outside every other maximal independent set and
+    extends t to one of size i + 1.  t must be an i-set of G, and at least
+    one other i-set must remain.
     """
     if t & ~gbar.full_mask():
         raise DeletionPreconditionError("target uses vertices outside the graph")
-    vs = list(bits(t))
-    if len(vs) != 3:
-        raise DeletionPreconditionError("target must be a triangle (three vertices)")
-    a, b, c = vs
-    if not (gbar.has_edge(a, b) and gbar.has_edge(a, c) and gbar.has_edge(b, c)):
-        raise DeletionPreconditionError("target vertices are not mutually adjacent")
-    if gbar.adj[a] & gbar.adj[b] & gbar.adj[c]:
-        raise DeletionPreconditionError("triangle sits inside a larger clique")
     report = independence_report(gbar.complement())
     if t not in report.i_sets:
-        raise DeletionPreconditionError("triangle is not an i-set of the complement")
+        raise DeletionPreconditionError("target is not an i-set of the complement")
     if len(report.i_sets) < 2:
         raise DeletionPreconditionError("removing the only i-set would change i(G)")
-    rows = list(gbar.adj)
     apex = 1 << gbar.n
-    new_row = 0
-    for v in vs:
-        rows[v] |= apex
-        new_row |= 1 << v
-    rows.append(new_row)
-    return Graph._from_rows(rows)
+    return Graph._from_rows([row | apex if t >> v & 1 else row
+                             for v, row in enumerate(gbar.adj)] + [t])
 
 
 # -- planar seeds -------------------------------------------------------

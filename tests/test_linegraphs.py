@@ -21,7 +21,7 @@ from islide import (
     star_graph,
     theta_graph,
 )
-from islide.search import enumerate_labeled_graphs
+from islide.search import _class_levels
 
 
 def test_krausz_partition_covers_edges():
@@ -63,14 +63,17 @@ def test_root_roundtrip_on_line_graphs():
 
 
 def test_line_of_triangle_free_has_no_diamond_sweep():
-    # exhaustively for 4..5 vertices: L(g) contains an induced diamond
-    # exactly when g has a triangle
+    # exhaustively for 4..5 vertices, one graph per class: L(g) contains an
+    # induced diamond exactly when g has a triangle
     from islide import contains_induced
 
-    for n in (4, 5):
-        for g in enumerate_labeled_graphs(n, connected_only=True):
+    checked = 0
+    for n, level in _class_levels(5, connected_only=True):
+        for g in (Graph._from_mask(n, mask) for mask in level if n >= 4):
             got = contains_induced(line_graph(g), diamond_graph())
             assert got == g.has_triangle()
+            checked += 1
+    assert checked == 6 + 21  # connected classes on 4 and 5 vertices
 
 
 def test_line_diamond_law_sampled_6_7():
@@ -138,11 +141,11 @@ def test_seed_from_large_clique_line_graph():
 
 
 def test_seed_sweep_small_line_graphs():
-    # every connected triangle-free root F on up to 5 vertices gives a seed
-    # complement(F) whose i-graph is L(F)
+    # every connected triangle-free root F on up to 5 vertices, one per
+    # class, gives a seed complement(F) whose i-graph is L(F)
     checked = 0
-    for n in range(2, 6):
-        for f in enumerate_labeled_graphs(n, connected_only=True):
+    for n, level in _class_levels(5, connected_only=True):
+        for f in (Graph._from_mask(n, mask) for mask in level if n > 1):
             if f.has_triangle():
                 continue
             checked += 1
@@ -151,4 +154,4 @@ def test_seed_sweep_small_line_graphs():
             rep = independence_report(g)
             assert rep.i == rep.alpha == 2 or f.n == 2
             assert is_isomorphic(i_graph(g).skeleton, target)
-    assert checked > 100
+    assert checked == 11  # connected triangle-free graphs on 2..5 vertices: 1+1+3+6

@@ -334,6 +334,43 @@ def test_json_rejects_edges_out_of_order():
     _rejected(payload)
 
 
+def test_json_rejects_float_edge_value():
+    payload = _house_seed_payload()
+    payload["edges"][0]["u"] = float(payload["edges"][0]["u"])
+    _rejected(payload)
+
+
+def test_json_rejects_extra_edge_key():
+    payload = _house_seed_payload()
+    payload["edges"][0]["label"] = "x"
+    _rejected(payload)
+
+
+def test_json_rejects_extra_top_level_key():
+    payload = _house_seed_payload()
+    payload["version"] = 1
+    _rejected(payload)
+
+
+def test_json_rejects_extra_base_key():
+    payload = _house_seed_payload()
+    payload["base"]["name"] = "house"
+    _rejected(payload)
+
+
+def test_json_rejects_boolean_base_endpoint():
+    payload = _house_seed_payload()
+    edge = next(e for e in payload["base"]["edges"] if e[0] == 0)
+    edge[0] = False
+    _rejected(payload)
+
+
+def test_json_rejects_base_edges_out_of_order():
+    payload = _house_seed_payload()
+    payload["base"]["edges"].reverse()
+    _rejected(payload)
+
+
 def test_dot_labels():
     sg = i_graph(cycle_graph(5))
     text = slide_graph_to_dot(sg)

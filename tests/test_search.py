@@ -19,6 +19,7 @@ from islide import (
     verify_table,
     wheel_graph,
 )
+from islide.search import _class_levels
 from islide.seeds import house_seed
 
 from bruteforce import (
@@ -33,7 +34,6 @@ def test_enumeration_counts():
     assert sum(1 for _ in enumerate_labeled_graphs(2)) == 2
     assert sum(1 for _ in enumerate_labeled_graphs(3)) == 8
     assert sum(1 for _ in enumerate_labeled_graphs(4)) == 64
-    assert sum(1 for _ in enumerate_labeled_graphs(4, connected_only=True)) == 38
     assert sum(1 for _ in enumerate_labeled_graphs(5)) == 1024
 
 
@@ -131,6 +131,22 @@ def test_connected_only_filter():
     rep = find_seed(cycle_graph(4), max_n=5, connected_only=True, find_all=True)
     assert all(w.is_connected() for w in rep.witnesses)
     assert rep.graphs_examined == 1 + 1 + 2 + 6 + 21  # A001349, n = 1..5
+
+
+def test_class_levels_match_oeis_through_8():
+    # the max-degree generator against A000088 (all classes) and A001349
+    # (connected classes); level 8 is built once
+    full = dict(_class_levels(8, connected_only=False))
+    assert [len(full[n]) for n in range(1, 9)] == [1, 2, 4, 11, 34, 156, 1044, 12346]
+    connected = {n: [m for m in level if Graph._from_mask(n, m).is_connected()]
+                 for n, level in full.items()}
+    assert ([len(connected[n]) for n in range(1, 9)]
+            == [1, 1, 2, 6, 21, 112, 853, 11117])
+    assert dict(_class_levels(7, connected_only=True)) == {n: connected[n] for n in range(1, 8)}
+    for n, level in full.items():
+        assert level == sorted(set(level))
+        if n <= 6:
+            assert all(canonical_key(Graph._from_mask(n, m)) == (n, m) for m in level)
 
 
 def test_report_json():

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from islide import (
     DeletionPreconditionError,
@@ -25,6 +26,8 @@ from islide import (
     triangle_isets_of_complement,
     verify_theta_seed,
 )
+
+from bruteforce import random_graph
 
 
 DISPATCH_CASES = [
@@ -257,6 +260,38 @@ def test_apply_deletion_preconditions():
     with pytest.raises(DeletionPreconditionError):
         # the apexed triangle now sits inside a K_4
         apply_deletion(once, res.trace.expected_labels["X"])
+
+
+def _check_deletion(g, idx):
+    # deleting the idx-th i-set of g leaves the i-graph with that node
+    # removed: the same sets in the same order, the induced skeleton
+    sg = i_graph(g)
+    after = i_graph(apply_deletion(g.complement(), sg.nodes[idx]).complement())
+    assert after.nodes == sg.nodes[:idx] + sg.nodes[idx + 1:]
+    assert after.skeleton == sg.skeleton.induced(sg.skeleton.full_mask() & ~(1 << idx))[0]
+
+
+def test_apply_deletion_leaves_i_graph_minus_the_set():
+    # every i-set of every realizable theta seed of order <= 14, including
+    # the i = 2 LINE_ROOT seeds, whose i-sets are not triangles of gbar
+    done = 0
+    for spec in theta_specs_up_to(14):
+        if spec.as_tuple() in THETA_EXCEPTIONS:
+            continue
+        g = build_theta_seed_complement(*spec.as_tuple()).gbar.complement()
+        for idx in range(len(independence_report(g).i_sets)):
+            _check_deletion(g, idx)
+            done += 1
+    assert done == 940
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10), st.floats(0, 1), st.integers(0, 2**32), st.integers(0, 2**16))
+def test_apply_deletion_on_random_graphs(n, p, seed, pick):
+    g = random_graph(random.Random(seed), n, p)
+    count = len(independence_report(g).i_sets)
+    assume(count >= 2)
+    _check_deletion(g, pick % count)
 
 
 def test_apply_deletion_random_triangles_across_corpus():
