@@ -31,7 +31,6 @@ from .graphs import (
     bits,
     cartesian_product,
     classify_theta,
-    complement,
     cycle_graph,
     complete_graph,
     diamond_graph,
@@ -40,7 +39,6 @@ from .graphs import (
     house_graph,
     kappa_graph,
     line_graph,
-    make_named_graph,
     mask_of,
     obstruction_t_graph,
     path_graph,
@@ -64,7 +62,6 @@ from .independence import (
     IndependenceReport,
     independence_report,
     maximal_independent_sets,
-    triangle_isets_of_complement,
 )
 from .reconfig import (
     SlideGraph,
@@ -82,13 +79,11 @@ from .planar import (
     RotationSystem,
     parse_rotation_file,
     planar_dual,
-    planar_dual_with_rotation,
     rotation_from_layout,
     rotation_to_file,
     trace_faces,
 )
 from .seeds import (
-    CONSTRUCTION_IDS,
     ConstructionTrace,
     SeedResult,
     SeedVerification,
@@ -98,9 +93,7 @@ from .seeds import (
     apply_deletion,
     build_theta_seed_complement,
     seed_graph_334,
-    house_seed,
     planar_seed,
-    planar_seed_with_trace,
     theta_specs_up_to,
     verify_table,
     verify_theta_seed,

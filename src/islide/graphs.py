@@ -182,6 +182,8 @@ class Graph:
         Returns the new graph and the list of original vertex indices, in
         the order they were relabeled to 0, 1, ...
         """
+        if mask < 0 or mask >> self.n:
+            raise InvalidParameterError(f"mask {mask:#x} names vertices outside 0..{self.n - 1}")
         keep = list(bits(mask))
         if not keep:
             raise InvalidParameterError("induced subgraph needs at least one vertex")
@@ -212,10 +214,6 @@ class Graph:
 def _mask_pairs(n: int) -> tuple[tuple[int, int, int, int], ...]:
     """Edge-mask bit index to ``(u, 1 << v, v, 1 << u)``; decoders keep n <= MAX_VERTICES."""
     return tuple((u, 1 << v, v, 1 << u) for v in range(1, n) for u in range(v))
-
-
-def complement(g: Graph) -> Graph:
-    return g.complement()
 
 
 def line_graph(g: Graph) -> Graph:
@@ -437,42 +435,6 @@ def obstruction_t_graph() -> Graph:
             (A1, B2),
         ],
     )
-
-
-_NAMED_SIZED = {
-    "path": path_graph,
-    "cycle": cycle_graph,
-    "complete": complete_graph,
-    "star": star_graph,
-    "wheel": wheel_graph,
-    "fan": fan_graph,
-}
-
-_NAMED_FIXED = {
-    "diamond": diamond_graph,
-    "kappa": kappa_graph,
-    "house": house_graph,
-    "paw": paw_graph,
-    "obstruction_T": obstruction_t_graph,
-}
-
-
-def make_named_graph(kind: str, size: int | None = None) -> Graph:
-    """Build one of the standard named graphs.
-
-    ``path``, ``cycle``, ``complete``, ``star``, ``wheel`` and ``fan`` take a
-    size parameter; ``diamond``, ``kappa``, ``house``, ``paw`` and
-    ``obstruction_T`` do not.
-    """
-    if kind in _NAMED_SIZED:
-        if size is None:
-            raise InvalidParameterError(f"{kind} needs a size parameter")
-        return _NAMED_SIZED[kind](size)
-    if kind in _NAMED_FIXED:
-        if size is not None:
-            raise InvalidParameterError(f"{kind} takes no size parameter")
-        return _NAMED_FIXED[kind]()
-    raise InvalidParameterError(f"unknown graph kind {kind!r}")
 
 
 def _check_size(n: int, minimum: int) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, SetCountCapError
-from .graphs import Graph, bits
+from .graphs import Graph
 
 DEFAULT_SET_CAP = 10**6
 
@@ -70,21 +70,3 @@ def independence_report(g: Graph, cap: int = DEFAULT_SET_CAP) -> IndependenceRep
     alpha_sets = tuple(sorted(s for s, k in zip(sets, sizes) if k == alpha))
     return IndependenceReport(i, alpha, i_sets, alpha_sets, len(sets))
 
-
-def triangle_isets_of_complement(gbar: Graph) -> list[int]:
-    """Triangles of gbar that are maximal cliques, sorted by bitmask.
-
-    When the smallest maximal clique of gbar has three vertices, these are
-    exactly the i-sets of complement(gbar).
-    """
-    out = []
-    for u, v in gbar.edges():
-        common = gbar.adj[u] & gbar.adj[v]
-        for w in bits(common):
-            if w <= v:
-                continue
-            if gbar.adj[u] & gbar.adj[v] & gbar.adj[w]:
-                continue
-            out.append((1 << u) | (1 << v) | (1 << w))
-    out.sort()
-    return out

@@ -72,12 +72,7 @@ def trace_faces(g: Graph, rot: RotationSystem) -> list[list[tuple[int, int]]]:
 
 
 def planar_dual(g: Graph, rot: RotationSystem) -> Graph:
-    dual, _ = planar_dual_with_rotation(g, rot)
-    return dual
-
-
-def planar_dual_with_rotation(g: Graph, rot: RotationSystem) -> tuple[Graph, RotationSystem]:
-    """Dual graph of the embedding, plus the rotation the tracing induces on it.
+    """Dual graph of the embedding.
 
     One dual vertex per face; one dual edge per primal edge, joining the two
     faces it borders.  Duals with loops (a bridge) or parallel edges (a
@@ -110,12 +105,7 @@ def planar_dual_with_rotation(g: Graph, rot: RotationSystem) -> tuple[Graph, Rot
                 )
             seen_pairs.add(key)
             edges.append(key)
-    dual = Graph(len(faces), edges)
-    rings = []
-    for face in faces:
-        ring = tuple(face_of[(v, u)] for (u, v) in face)
-        rings.append(ring)
-    return dual, RotationSystem(tuple(rings))
+    return Graph(len(faces), edges)
 
 
 # -- rotation file format ----------------------------------------------

@@ -1,5 +1,5 @@
 """Complement-seed constructions for theta graphs, plus deletion of one
-i-set, house and planar seeds, and the verification harness.
+i-set, planar seeds, and the verification harness.
 
 Every builder returns the complement seed: a graph gbar whose triangles
 that are maximal cliques are the i-sets of G = complement(gbar), adjacent
@@ -15,10 +15,11 @@ gives the specs (j, k, l) the arm covers, the draft that names and joins the
 vertices of gbar, the rim pair whose triangle with the hub is the far pole Y
 (the near pole X is always the triangle w0, w1, w2), the labels of the
 triangles along the attached path as a function of l, and alpha of the
-seed.  Dispatch (``applicable_constructions``), the arm ids
-(``CONSTRUCTION_IDS``) and the one builder (``_build``) all read that
-table.  LINE_ROOT (the complement of a line-graph root) and G_334 (a fixed
-9-vertex seed) are the two rows not drafted from a wheel.
+seed.  Dispatch (``applicable_constructions``) and the one builder
+(``_build``) both read that table, and ``_build`` is the one place a
+``ConstructionTrace`` is made.  LINE_ROOT (the complement of a line-graph
+root) and G_334 (a fixed 9-vertex seed) are the two rows not drafted from a
+wheel.
 """
 from __future__ import annotations
 
@@ -39,12 +40,12 @@ from .errors import (
 )
 from .formats import to_graph6
 from .graphs import Graph, ThetaSpec, bits, mask_of, theta
-from .independence import independence_report, triangle_isets_of_complement
+from .independence import independence_report
 from .iso import is_isomorphic
 from .linegraphs import seed_from_line_graph
 from .planar import RotationSystem, planar_dual, trace_faces
 from .reconfig import build_slide_graph
-from .search import SearchReport, scan_for_targets
+from .search import _SCAN_MAX_N, SearchReport, scan_for_targets
 
 THETA_EXCEPTIONS: dict[tuple[int, int, int], str] = {
     (1, 2, 2): "diamond = theta(1,2,2)",
@@ -59,17 +60,18 @@ THETA_EXCEPTIONS: dict[tuple[int, int, int], str] = {
 
 @dataclass(frozen=True)
 class ConstructionTrace:
-    """Provenance of a seed build: which arm ran, the vertex-name map of the
-    complement seed, the labeled i-sets the construction promises, and the
+    """What one arm of the theta table promises about its seed, which
+    check_seed verifies end to end: which arm ran on which (j, k, l), the
+    vertex-name map of the complement seed, the labeled i-sets, and the
     predicted size and alpha behaviour of the resulting i-graph."""
 
     construction_id: str
-    params: tuple[int, int, int] | None
+    params: tuple[int, int, int]
     names: dict[str, int]
     expected_labels: dict[str, int]
     expected_order: int
-    expected_i: int = 3
-    expected_alpha: int = 3
+    expected_i: int
+    expected_alpha: int
 
     @property
     def alpha_equal(self) -> bool:
@@ -80,7 +82,7 @@ class ConstructionTrace:
     def to_json(self) -> str:
         payload = {
             "construction_id": self.construction_id,
-            "params": list(self.params) if self.params else None,
+            "params": list(self.params),
             "names": self.names,
             "expected_labels": {
                 k: sorted(bits(m)) for k, m in self.expected_labels.items()
@@ -417,9 +419,6 @@ _ARMS: dict[str, _Arm] = {
                   _draft_jkl, _Y45, _PATH45),
 }
 
-CONSTRUCTION_IDS = tuple(_ARMS) + ("HOUSE", "PLANAR_DUAL")
-
-
 def _build(arm: str, spec: ThetaSpec) -> SeedResult:
     """Seed and trace of one table arm on a spec it covers."""
     row = _ARMS[arm]
@@ -626,9 +625,15 @@ def verify_table(max_total: int, corroborate_max_n: int = 7, jobs: int = 1) -> T
     """Check the realizability table for every theta graph on at most
     max_total vertices: realizable specs must verify end to end, and each
     exception must come back not-realizable and (when corroborate_max_n > 0)
-    survive an exhaustive seed scan with zero witnesses."""
+    survive an exhaustive seed scan with zero witnesses.  corroborate_max_n
+    = 0 skips the scan; values outside 0.._SCAN_MAX_N are rejected before
+    any work."""
     if not 3 <= max_total <= 26:
         raise InvalidParameterError("max_total must lie in 3..26")
+    if not 0 <= corroborate_max_n <= _SCAN_MAX_N:
+        raise InvalidParameterError(
+            f"corroborate_max_n={corroborate_max_n} outside 0..{_SCAN_MAX_N} (0 skips the scan)"
+        )
     entries: list[TableEntry] = []
     failures: list[str] = []
     exception_targets: list[Graph] = []
@@ -674,31 +679,6 @@ def verify_table(max_total: int, corroborate_max_n: int = 7, jobs: int = 1) -> T
     )
 
 
-# -- house fixture ------------------------------------------------------
-
-def house_seed() -> tuple[Graph, ConstructionTrace]:
-    """Path a-b-c plus triangle c,d,e; its five i-sets slide into the house."""
-    names = {"a": 0, "b": 1, "c": 2, "d": 3, "e": 4}
-    g = Graph(5, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 4)])
-    labels = {
-        "ac": mask_of((0, 2)),
-        "ad": mask_of((0, 3)),
-        "ae": mask_of((0, 4)),
-        "bd": mask_of((1, 3)),
-        "be": mask_of((1, 4)),
-    }
-    trace = ConstructionTrace(
-        construction_id="HOUSE",
-        params=(1, 2, 3),
-        names=names,
-        expected_labels=labels,
-        expected_order=5,
-        expected_i=2,
-        expected_alpha=2,
-    )
-    return g, trace
-
-
 # -- deletion surgery ---------------------------------------------------
 
 def apply_deletion(gbar: Graph, t: int) -> Graph:
@@ -729,42 +709,21 @@ def planar_seed(g: Graph, rot: RotationSystem) -> Graph:
 
     Every face triple meeting at a vertex of g is a triangle of the dual and
     a maximal clique there, so i(H) = alpha(H) = 3 and the i-graph of H
-    contains g as an induced subgraph (extras, if any, are removable with
-    apply_deletion).
+    contains g as an induced subgraph.  The dual is K_4-free with every edge
+    on a facial triangle, so the i-sets of H are exactly the dual's
+    triangles: the g.n corner triples plus any non-facial extras, which
+    apply_deletion can remove.
+
+    Rejects, in this order, a g that is not connected, not cubic or not
+    bipartite, and a rotation whose face count breaks Euler's formula (not a
+    sphere embedding); planar_dual then rejects a dual that is not simple.
     """
-    return planar_seed_with_trace(g, rot)[0]
-
-
-def planar_seed_with_trace(
-    g: Graph, rot: RotationSystem
-) -> tuple[Graph, ConstructionTrace]:
-    """planar_seed plus a trace: dual vertices named f0, f1, ... in face-trace
-    order, with one labeled i-set per vertex of g (the three faces meeting
-    there)."""
     if not g.is_connected():
         raise NotConnectedError("planar seed needs a connected graph")
     if any(g.degree(v) != 3 for v in range(g.n)):
         raise NotCubicError("planar seed needs a cubic graph")
     if not g.is_bipartite():
         raise NotBipartiteError("planar seed needs a bipartite graph")
-    faces = trace_faces(g, rot)
-    if g.n - g.edge_count() + len(faces) != 2:
+    if g.n - g.edge_count() + len(trace_faces(g, rot)) != 2:
         raise NotPlanarEmbeddingError("rotation does not describe a sphere embedding")
-    dual = planar_dual(g, rot)
-    corners: dict[int, int] = {}
-    for fi, face in enumerate(faces):
-        for _, v in face:
-            corners[v] = corners.get(v, 0) | (1 << fi)
-    # the dual is K_4-free with every edge on a facial triangle, so the
-    # i-sets of the seed are exactly the dual's triangles: the g.n corner
-    # triples plus any non-facial extras
-    trace = ConstructionTrace(
-        construction_id="PLANAR_DUAL",
-        params=None,
-        names={f"f{i}": i for i in range(len(faces))},
-        expected_labels={f"v{v}": corners[v] for v in range(g.n)},
-        expected_order=len(triangle_isets_of_complement(dual)),
-        expected_i=3,
-        expected_alpha=3,
-    )
-    return dual.complement(), trace
+    return planar_dual(g, rot).complement()

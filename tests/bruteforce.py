@@ -240,6 +240,12 @@ def random_cubic_graph(rng: random.Random, n: int) -> Graph:
             return Graph(n, sorted(edges))
 
 
+def house_seed_graph() -> Graph:
+    """Path a-b-c plus triangle c,d,e: its five i-sets ac, ad, ae, bd, be
+    slide into the house, theta(1,2,3)."""
+    return Graph(5, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 4)])
+
+
 def petersen_graph() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]

@@ -11,10 +11,8 @@ from islide import (
 )
 from islide.cli import main
 from islide.planar import rotation_to_file
-from islide.seeds import house_seed
-
-from bruteforce import brute_classes
-from test_planar import cube_with_rotation
+from bruteforce import brute_classes, house_seed_graph
+from test_planar import cube_on_torus, cube_with_rotation
 
 
 def run(capsys, *argv):
@@ -38,7 +36,7 @@ def test_compute_c4_has_two_frozen_nodes(capsys):
 
 
 def test_compute_house_seed_file(tmp_path, capsys):
-    g, _ = house_seed()
+    g = house_seed_graph()
     path = tmp_path / "seed.edges"
     path.write_text(to_edge_list(g), encoding="utf-8")
     code, out, _ = run(capsys, "compute", "--input", str(path))
@@ -220,6 +218,18 @@ def test_dualseed_cube(tmp_path, capsys):
     assert code == 0
     assert "pass i-graph contains the input" in out
     assert "pass i-graph is exactly the input" in out
+
+
+def test_dualseed_rejects_torus_rotation(tmp_path, capsys):
+    g, rot = cube_on_torus()
+    gpath = tmp_path / "cube.edges"
+    rpath = tmp_path / "torus.rot"
+    gpath.write_text(to_edge_list(g), encoding="utf-8")
+    rpath.write_text(rotation_to_file(g, rot), encoding="utf-8")
+    code, out, err = run(capsys, "dualseed", "--input", str(gpath),
+                         "--rotation", str(rpath))
+    assert code == 1 and out == ""
+    assert "rejected: rotation does not describe a sphere embedding" in err
 
 
 def test_lemmas_small(capsys):

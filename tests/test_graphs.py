@@ -17,7 +17,6 @@ from islide import (
     is_isomorphic,
     kappa_graph,
     line_graph,
-    make_named_graph,
     obstruction_t_graph,
     path_graph,
     paw_graph,
@@ -39,6 +38,9 @@ def test_graph_validation():
         Graph(3, [(0, 3)])
     with pytest.raises(CapacityError):
         Graph(65)
+    for too_small in (lambda: wheel_graph(2), lambda: fan_graph(0)):
+        with pytest.raises(InvalidParameterError):
+            too_small()
 
 
 def test_wheel_shape():
@@ -99,6 +101,15 @@ def test_complement_of_wheel4():
     assert got == expected
 
 
+def test_induced_rejects_masks_outside_graph():
+    g = path_graph(3)
+    for mask in (0b1000, 0b1111, -1, -2):
+        with pytest.raises(InvalidParameterError):
+            g.induced(mask)
+    sub, keep = g.induced(0b101)
+    assert keep == [0, 2] and sub.edge_count() == 0
+
+
 def test_line_graph_examples():
     assert is_isomorphic(line_graph(paw_graph()), diamond_graph())
     assert is_isomorphic(line_graph(path_graph(4)), path_graph(3))
@@ -137,21 +148,6 @@ def test_obstruction_t_shape():
     t = obstruction_t_graph()
     assert t.n == 9 and t.edge_count() == 11
     assert t.degree_sequence() == (2, 2, 2, 2, 2, 3, 3, 3, 3)
-
-
-def test_make_named_graph_dispatch():
-    assert make_named_graph("wheel", 4) == wheel_graph(4)
-    assert make_named_graph("diamond") == diamond_graph()
-    with pytest.raises(InvalidParameterError):
-        make_named_graph("wheel")
-    with pytest.raises(InvalidParameterError):
-        make_named_graph("wheel", 2)
-    with pytest.raises(InvalidParameterError):
-        make_named_graph("diamond", 4)
-    with pytest.raises(InvalidParameterError):
-        make_named_graph("nonsense")
-    with pytest.raises(InvalidParameterError):
-        make_named_graph("fan", 0)
 
 
 def test_union_and_product():

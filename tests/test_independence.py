@@ -14,12 +14,11 @@ from islide import (
     mask_of,
     star_graph,
     theta_graph,
-    triangle_isets_of_complement,
     wheel_graph,
 )
-from islide.seeds import build_theta_seed_complement, house_seed
+from islide.seeds import build_theta_seed_complement
 
-from bruteforce import brute_maximal_independent_sets, random_graph
+from bruteforce import brute_maximal_independent_sets, house_seed_graph, random_graph
 
 
 def test_star_has_two_maximal_sets():
@@ -35,10 +34,9 @@ def test_cycle5_brute():
 
 
 def test_house_seed_isets():
-    g, trace = house_seed()
-    rep = independence_report(g)
+    rep = independence_report(house_seed_graph())
     assert rep.i == 2
-    assert set(rep.i_sets) == set(trace.expected_labels.values())
+    assert set(rep.i_sets) == {mask_of(vs) for vs in ((0, 2), (0, 3), (0, 4), (1, 3), (1, 4))}
     assert rep.well_covered
 
 
@@ -155,16 +153,6 @@ def test_iset_count_bound_when_i_is_two():
         bound = n * (n - 1) // 2 - g.edge_count()
         assert len(rep.i_sets) <= bound
     assert checked > 50
-
-
-def test_triangle_isets_of_complement():
-    assert len(triangle_isets_of_complement(wheel_graph(4))) == 4
-    assert triangle_isets_of_complement(complete_graph(4)) == []
-    gbar = build_theta_seed_complement(2, 2, 5).gbar
-    triangles = triangle_isets_of_complement(gbar)
-    rep = independence_report(gbar.complement())
-    assert sorted(triangles) == sorted(rep.i_sets)
-    assert len(triangles) == 8
 
 
 def test_set_cap():

@@ -5,6 +5,7 @@ from islide import (
     NonSimpleDualError,
     NotBipartiteError,
     NotCubicError,
+    NotPlanarEmbeddingError,
     RotationSystem,
     RotationError,
     complete_graph,
@@ -13,9 +14,9 @@ from islide import (
     is_isomorphic,
     i_graph,
     contains_induced,
+    independence_report,
     parse_rotation_file,
     planar_dual,
-    planar_dual_with_rotation,
     rotation_from_layout,
     rotation_to_file,
     trace_faces,
@@ -31,6 +32,13 @@ def cube_with_rotation():
     )
     pos = [(-1, -1), (1, -1), (1, 1), (-1, 1), (-2, -2), (2, -2), (2, 2), (-2, 2)]
     return g, rotation_from_layout(g, pos)
+
+
+def cube_on_torus():
+    """The cube with the rotation at vertex 0 reversed: 4 faces, so
+    8 - 12 + 4 = 0 and the embedding is not a sphere embedding."""
+    g, rot = cube_with_rotation()
+    return g, RotationSystem((tuple(reversed(rot.order[0])),) + rot.order[1:])
 
 
 def k4_with_rotation():
@@ -85,13 +93,6 @@ def test_cube_dual_is_octahedron():
     assert is_isomorphic(dual, octahedron())
 
 
-def test_double_dual_returns_original():
-    for g, rot in (k4_with_rotation(), cube_with_rotation()):
-        dual, dual_rot = planar_dual_with_rotation(g, rot)
-        back = planar_dual(dual, dual_rot)
-        assert is_isomorphic(back, g)
-
-
 def test_cycle_embedding_dual_rejected():
     g = cycle_graph(4)
     rot = RotationSystem(((1, 3), (0, 2), (1, 3), (2, 0)))
@@ -124,17 +125,18 @@ def test_planar_seed_hexagonal_prism():
 
 
 def test_planar_seed_trace():
-    from islide import independence_report, planar_seed_with_trace
-
+    # the paper's claim: i = alpha = 3, and the three faces at each vertex
+    # of g (dual vertices in face-trace order) form an i-set of the seed
     for builder in (cube_with_rotation, hex_prism_with_rotation):
         g, rot = builder()
-        seed, trace = planar_seed_with_trace(g, rot)
-        assert trace.construction_id == "PLANAR_DUAL"
-        rep = independence_report(seed)
+        rep = independence_report(planar_seed(g, rot))
         assert rep.i == rep.alpha == 3
-        assert len(rep.i_sets) == trace.expected_order
-        assert len(trace.expected_labels) == g.n
-        for mask in trace.expected_labels.values():
+        corners = [0] * g.n
+        for fi, face in enumerate(trace_faces(g, rot)):
+            for _, v in face:
+                corners[v] |= 1 << fi
+        for mask in corners:
+            assert mask.bit_count() == 3
             assert mask in rep.i_sets
 
 
@@ -146,3 +148,7 @@ def test_planar_seed_rejections():
     rot4 = RotationSystem(((1, 3), (0, 2), (1, 3), (2, 0)))
     with pytest.raises(NotCubicError):
         planar_seed(h, rot4)
+    g, rot = cube_on_torus()
+    assert len(trace_faces(g, rot)) == 4
+    with pytest.raises(NotPlanarEmbeddingError):
+        planar_seed(g, rot)

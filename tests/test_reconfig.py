@@ -31,12 +31,12 @@ from islide import (
     theta_graph,
     wheel_graph,
 )
-from islide.seeds import house_seed
 
 from bruteforce import (
     brute_maximal_independent_sets,
     brute_slide_rows,
     brute_structural_violations,
+    house_seed_graph,
     random_graph,
 )
 
@@ -49,7 +49,7 @@ def test_cycle4_isets_do_not_slide():
 
 
 def test_house_seed_slides_into_house():
-    g, _ = house_seed()
+    g = house_seed_graph()
     sg = i_graph(g)
     assert sg.node_count() == 5
     assert is_isomorphic(sg.skeleton, house_graph())
@@ -84,7 +84,7 @@ def test_move_labels_are_slides():
 def test_structural_invariants_on_standard_instances():
     instances = [
         i_graph(cycle_graph(5)),
-        i_graph(house_seed()[0]),
+        i_graph(house_seed_graph()),
         i_graph(wheel_graph(6).complement()),
         alpha_graph(wheel_graph(6).complement()),
         i_graph(fan_graph(5).complement()),
@@ -262,7 +262,7 @@ def test_known_disconnected_seed():
 
 
 def test_json_roundtrip():
-    sg = i_graph(house_seed()[0])
+    sg = i_graph(house_seed_graph())
     text = slide_graph_to_json(sg)
     back = slide_graph_from_json(text)
     assert back.nodes == sg.nodes
@@ -271,7 +271,7 @@ def test_json_roundtrip():
 
 
 def _house_seed_payload():
-    return json.loads(slide_graph_to_json(i_graph(house_seed()[0])))
+    return json.loads(slide_graph_to_json(i_graph(house_seed_graph())))
 
 
 def _rejected(payload):

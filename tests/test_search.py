@@ -20,13 +20,13 @@ from islide import (
     wheel_graph,
 )
 from islide.search import _class_levels
-from islide.seeds import house_seed
 
 from bruteforce import (
     brute_classes,
     brute_is_isomorphic,
     brute_maximal_independent_sets,
     brute_slide_rows,
+    house_seed_graph,
 )
 
 
@@ -62,7 +62,7 @@ def test_find_c4_seed_includes_wheel_complement():
 def test_find_house_seed():
     rep = find_seed(theta_graph(1, 2, 3), max_n=5)
     assert rep.found
-    assert is_isomorphic(rep.witnesses[0], house_seed()[0])
+    assert is_isomorphic(rep.witnesses[0], house_seed_graph())
 
 
 def test_sanity_inversion_k3():
@@ -169,6 +169,16 @@ def test_verify_table_small():
     assert sum(1 for e in report.entries if e.outcome == "exception") == 7
     assert len(report.corroboration) == 7
     assert all(not r.found for r in report.corroboration)
+
+
+def test_verify_table_rejects_scan_bound_before_work():
+    # a negative bound must not pass as a clean table with no scan run,
+    # and an out-of-range one must fail before the table is verified
+    for bad in (-1, 9):
+        with pytest.raises(InvalidParameterError):
+            verify_table(26, corroborate_max_n=bad)
+    report = verify_table(5, corroborate_max_n=0)
+    assert report.passed and report.corroboration == ()
 
 
 def test_search_bounds():

@@ -12,10 +12,10 @@ from islide import (
     ThetaSpec,
     applicable_constructions,
     apply_deletion,
+    bits,
     build_slide_graph,
     build_theta_seed_complement,
     seed_graph_334,
-    house_seed,
     independence_report,
     is_isomorphic,
     i_graph,
@@ -23,7 +23,6 @@ from islide import (
     theta_graph,
     theta_specs_up_to,
     to_graph6,
-    triangle_isets_of_complement,
     verify_theta_seed,
 )
 
@@ -117,8 +116,12 @@ def test_expected_labels_are_isets():
 
 def test_expected_labels_are_triangles_of_gbar():
     res = build_theta_seed_complement(2, 2, 5)
-    tri = set(triangle_isets_of_complement(res.gbar))
-    assert set(res.trace.expected_labels.values()) <= tri
+    adj = res.gbar.adj
+    for mask in res.trace.expected_labels.values():
+        u, v, w = bits(mask)
+        # three mutually adjacent vertices of gbar with no common neighbour
+        assert adj[u] >> v & 1 and adj[u] >> w & 1 and adj[v] >> w & 1
+        assert not adj[u] & adj[v] & adj[w]
     assert len(res.trace.expected_labels) == 8
     assert set(res.trace.expected_labels) == {
         "X", "Y", "A", "B", "D_1", "D_2", "D_3", "D_4",
@@ -206,15 +209,6 @@ def test_seed_graph_334_isets():
     }
     assert set(rep.i_sets) == expected
     assert is_isomorphic(i_graph(g).skeleton, theta_graph(3, 3, 4))
-
-
-def test_house_trace():
-    g, trace = house_seed()
-    assert trace.construction_id == "HOUSE"
-    assert sorted(trace.names.values()) == list(range(5))
-    payload = json.loads(trace.to_json())
-    assert payload["expected_order"] == 5
-    assert payload["alpha_equal"] is True
 
 
 def test_trace_json_fields():
