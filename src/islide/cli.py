@@ -26,7 +26,6 @@ from .linegraphs import seed_from_line_graph
 from .planar import parse_rotation_file
 from .reconfig import (
     SlideGraph,
-    alpha_graph,
     build_slide_graph,
     i_graph,
     slide_graph_to_dot,
@@ -153,8 +152,10 @@ def cmd_lemmas(args) -> int:
         for k in sizes:
             g = seed(k).complement()
             shape, want = target(k)
-            ok = (is_isomorphic(i_graph(g).skeleton, want)
-                  and is_isomorphic(alpha_graph(g).skeleton, want))
+            # well covered: the alpha-sets are the i-sets, so the alpha-graph is the i-graph
+            rep = independence_report(g)
+            sg = build_slide_graph(g, list(rep.i_sets))
+            ok = rep.well_covered and is_isomorphic(sg.skeleton, want)
             failures += not ok
             print(f"{'pass' if ok else 'FAIL'} {name} {k}: i-graph and alpha-graph ~ {shape}")
     checked = 0

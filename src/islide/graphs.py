@@ -197,9 +197,18 @@ class Graph:
         return Graph._from_rows(rows), keep
 
     def relabel(self, perm: list[int]) -> "Graph":
-        """Apply permutation ``perm`` (``perm[v]`` is the new index of ``v``)."""
-        image = [1 << p for p in perm]
-        rows = [0] * self.n
+        """Apply permutation ``perm`` (``perm[v]`` is the new index of ``v``).
+        Raises InvalidParameterError unless ``perm`` is a permutation of
+        ``range(n)``."""
+        n = self.n
+        try:
+            image = [1 << p for p in perm]
+        except (TypeError, ValueError):
+            image = None
+        # n powers of two sum to 2^n - 1 only when they are the n bits below n
+        if image is None or len(image) != n or sum(image) != (1 << n) - 1:
+            raise InvalidParameterError(f"relabel needs a permutation of range({n}), got {perm!r}")
+        rows = [0] * n
         for v, old in enumerate(self.adj):
             row = 0
             while old:

@@ -273,3 +273,39 @@ def shrikhande_graph() -> Graph:
     steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
     return Graph(16, [(i, j) for j, b in enumerate(cells) for i, a in enumerate(cells[:j])
                       if ((b[0] - a[0]) % 4, (b[1] - a[1]) % 4) in steps])
+
+
+def reference_check_seed(result) -> list[tuple[str, bool, str]]:
+    """The ``(name, passed, detail)`` clauses of ``seeds.check_seed`` as it
+    was first written: the i-graph and an alpha-graph built from the
+    alpha-sets are each compared with the target by ``is_isomorphic``.
+    Unlike the oracles above it composes library kernels, which their own
+    tests check; what it pins is the clause logic."""
+    from islide import ThetaSpec, build_slide_graph, independence_report, is_isomorphic, theta
+
+    gbar, trace = result.gbar, result.trace
+    spec = ThetaSpec(*trace.params)
+    g = gbar.complement()
+    report = independence_report(g)
+    target = theta(spec)
+    sg = build_slide_graph(g, list(report.i_sets))
+    missing = [tag for tag, m in trace.expected_labels.items() if m not in report.i_sets]
+    ag = build_slide_graph(g, list(report.alpha_sets))
+    iso_a = is_isomorphic(ag.skeleton, target)
+    if trace.alpha_equal:
+        alpha_clause = ("alpha_graph_isomorphic", iso_a, "alpha-graph matches the theta target")
+    else:
+        alpha_clause = ("alpha_graph_differs", not iso_a,
+                        "alpha-graph must not match the i-graph on these arms")
+    return [
+        ("i_value", report.i == trace.expected_i,
+         f"i(G)={report.i}, expected {trace.expected_i}"),
+        ("i_graph_order", sg.node_count() == trace.expected_order,
+         f"|V(I(G))|={sg.node_count()}, expected {trace.expected_order}"),
+        ("i_graph_isomorphic", is_isomorphic(sg.skeleton, target), f"skeleton vs {spec}"),
+        ("labels_present", not missing,
+         "all labeled sets found" if not missing else f"missing {missing}"),
+        ("alpha_value", report.alpha == trace.expected_alpha,
+         f"alpha(G)={report.alpha}, expected {trace.expected_alpha}"),
+        alpha_clause,
+    ]

@@ -110,6 +110,18 @@ def test_induced_rejects_masks_outside_graph():
     assert keep == [0, 2] and sub.edge_count() == 0
 
 
+@pytest.mark.parametrize("perm", [
+    [0, 0, 2],      # a repeated value
+    [0, 1, 3],      # a value >= n
+    [0, 1],         # too short
+    [0, 1, 2, 3],   # too long
+    [0, -1, 2],     # negative
+])
+def test_relabel_rejects_non_permutations(perm):
+    with pytest.raises(InvalidParameterError):
+        path_graph(3).relabel(perm)
+
+
 def test_line_graph_examples():
     assert is_isomorphic(line_graph(paw_graph()), diamond_graph())
     assert is_isomorphic(line_graph(path_graph(4)), path_graph(3))

@@ -181,6 +181,19 @@ def test_verify_table_rejects_scan_bound_before_work():
     assert report.passed and report.corroboration == ()
 
 
+def test_verify_table_rejects_jobs_before_work(monkeypatch):
+    import islide.seeds
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a seed was built before jobs was checked")
+
+    monkeypatch.setattr(islide.seeds, "verify_theta_seed", no_work)
+    monkeypatch.setattr(islide.seeds, "build_theta_seed_complement", no_work)
+    for bad in (0, -1):
+        with pytest.raises(InvalidParameterError, match="jobs"):
+            verify_table(26, corroborate_max_n=7, jobs=bad)
+
+
 def test_search_bounds():
     from islide import path_graph
 

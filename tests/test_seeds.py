@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from islide import (
     DeletionPreconditionError,
+    Graph,
     InvalidParameterError,
     THETA_EXCEPTIONS,
     ThetaSpec,
@@ -26,7 +28,9 @@ from islide import (
     verify_theta_seed,
 )
 
-from bruteforce import random_graph
+import islide.iso
+from islide.seeds import _ARMS, check_seed
+from bruteforce import random_graph, reference_check_seed
 
 
 DISPATCH_CASES = [
@@ -179,6 +183,69 @@ def test_verify_examples():
     v = verify_theta_seed(3, 3, 4)
     assert v.passed
     assert len(independence_report(v.gbar.complement()).i_sets) == 9
+
+
+def _clauses(v):
+    return [(c.name, c.passed, c.detail) for c in v.clauses]
+
+
+def _built_seeds(max_order):
+    for spec in theta_specs_up_to(max_order):
+        for arm in applicable_constructions(spec):
+            yield spec, build_theta_seed_complement(*spec.as_tuple(), construction=arm)
+
+
+def test_check_seed_matches_reference_on_every_arm():
+    arms = []
+    for _, r in _built_seeds(14):
+        assert _clauses(check_seed(r)) == reference_check_seed(r), r.trace.construction_id
+        arms.append(r.trace.construction_id)
+    assert len(arms) == 89 and set(arms) == set(_ARMS)
+
+
+def test_check_seed_matches_reference_on_tampered_results():
+    # other thetas of each order, a flipped gbar edge and a wrong alpha must
+    # each give the reference's clauses, and each tampering must fail somewhere
+    by_order = {}
+    for spec in theta_specs_up_to(14):
+        by_order.setdefault(spec.order, []).append(spec.as_tuple())
+    failed = {"params": 0, "edge": 0, "alpha": 0}
+    for spec, r in _built_seeds(14):
+        tampered = []
+        others = [t for t in by_order[spec.order] if t != spec.as_tuple()]
+        if others:
+            other = others[spec.order % len(others)]
+            tampered.append(("params", dataclasses.replace(
+                r, trace=dataclasses.replace(r.trace, params=other))))
+        u, v = spec.order % r.gbar.n, (spec.order + 1) % r.gbar.n
+        rows = list(r.gbar.adj)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        tampered.append(("edge", dataclasses.replace(r, gbar=Graph._from_rows(rows))))
+        wrong = 4 if r.trace.expected_alpha != 4 else 3
+        tampered.append(("alpha", dataclasses.replace(
+            r, trace=dataclasses.replace(r.trace, expected_alpha=wrong))))
+        for kind, t in tampered:
+            want = reference_check_seed(t)
+            assert _clauses(check_seed(t)) == want, (kind, r.trace.construction_id)
+            failed[kind] += not all(passed for _, passed, _ in want)
+    assert all(failed.values()), failed
+
+
+@pytest.mark.parametrize("jkl,most", [((3, 3, 6), 2), ((2, 2, 5), 3)])
+def test_check_seed_labels_each_graph_once(monkeypatch, jkl, most):
+    # (3,3,6) is well covered, so its alpha-graph is its i-graph; (2,2,5)
+    # has alpha 4 and builds a separate alpha-graph
+    calls = []
+    real = islide.iso._canonical
+
+    def counted(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(islide.iso, "_canonical", counted)
+    assert verify_theta_seed(*jkl).passed
+    assert 1 <= len(calls) <= most
 
 
 def test_verify_rejects_exceptions():
