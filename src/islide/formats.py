@@ -17,6 +17,14 @@ _G6_SHORT = 62
 _G6_MAX = 258047
 
 
+def _natural(token: str) -> int:
+    """int(token) for a token of ASCII digits only; int() alone would also
+    read a sign, an underscore or a non-ASCII digit.  Raises ValueError."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not a natural number: {token!r}")
+    return int(token)
+
+
 def to_edge_list(g: Graph) -> str:
     lines = [str(g.n)]
     lines.extend(f"{u} {v}" for u, v in g.edges())
@@ -29,7 +37,7 @@ def from_edge_list(text: str) -> Graph:
     if not rows:
         raise FormatError("empty edge list")
     try:
-        n = int(rows[0])
+        n = _natural(rows[0])
     except ValueError as exc:
         raise FormatError(f"first line must be the vertex count: {rows[0]!r}") from exc
     edges = []
@@ -38,7 +46,7 @@ def from_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise FormatError(f"expected 'u v', got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _natural(parts[0]), _natural(parts[1])
         except ValueError as exc:
             raise FormatError(f"non-integer endpoint in {line!r}") from exc
         edges.append((u, v))

@@ -280,7 +280,7 @@ class ThetaSpec:
     l: int
 
     def __post_init__(self):
-        if not (isinstance(self.j, int) and isinstance(self.k, int) and isinstance(self.l, int)):
+        if not all(type(x) is int for x in (self.j, self.k, self.l)):
             raise InvalidThetaSpecError(f"non-integer lengths {(self.j, self.k, self.l)}")
         if self.j < 1:
             raise InvalidThetaSpecError(f"path lengths must be positive: {(self.j, self.k, self.l)}")

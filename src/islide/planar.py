@@ -11,7 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import FormatError, NonSimpleDualError, RotationError
+from .errors import (
+    FormatError,
+    NonSimpleDualError,
+    NotPlanarEmbeddingError,
+    RotationError,
+)
+from .formats import _natural
 from .graphs import Graph
 
 
@@ -75,11 +81,14 @@ def planar_dual(g: Graph, rot: RotationSystem) -> Graph:
     """Dual graph of the embedding.
 
     One dual vertex per face; one dual edge per primal edge, joining the two
-    faces it borders.  Duals with loops (a bridge) or parallel edges (a
-    2-edge cut) are rejected so the downstream complement constructions stay
-    within simple graphs.
+    faces it borders.  A rotation whose face count breaks Euler's formula
+    (not a sphere embedding of a connected g) is rejected first; duals with
+    loops (a bridge) or parallel edges (a 2-edge cut) are rejected next so
+    the downstream complement constructions stay within simple graphs.
     """
     faces = trace_faces(g, rot)
+    if g.n - g.edge_count() + len(faces) != 2:
+        raise NotPlanarEmbeddingError("rotation does not describe a sphere embedding")
     if len(faces) < 2:
         raise NonSimpleDualError("embedding has a single face; dual would be loops only")
     face_of: dict[tuple[int, int], int] = {}
@@ -122,14 +131,14 @@ def parse_rotation_file(text: str, g: Graph) -> RotationSystem:
             raise FormatError(f"expected 'v: edge edge ...', got {line!r}")
         head, _, tail = line.partition(":")
         try:
-            v = int(head.strip())
+            v = _natural(head.strip())
         except ValueError as exc:
             raise FormatError(f"bad vertex in {line!r}") from exc
         ring = []
         for token in tail.split():
             a, _, b = token.partition("-")
             try:
-                x, y = int(a), int(b)
+                x, y = _natural(a), _natural(b)
             except ValueError as exc:
                 raise FormatError(f"bad edge token {token!r}") from exc
             if x > y:

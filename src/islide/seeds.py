@@ -11,11 +11,13 @@ of creating a K_4, which bumps alpha to 4 and breaks the alpha-graph
 analogue for those arms).
 
 The catalog is one ordered table, ``_ARMS``, most specific arm first.  A row
-gives the specs (j, k, l) the arm covers, the draft that names and joins the
-vertices of gbar, the rim pair whose triangle with the hub is the far pole Y
-(the near pole X is always the triangle w0, w1, w2), the labels of the
-triangles along the attached path as a function of l, and alpha of the
-seed.  Dispatch (``applicable_constructions``) and the one builder
+gives the specs (j, k, l) the arm covers, the draft, and alpha of the seed.
+A draft declares gbar: the rim of the wheel in cyclic order from w1, w2
+(the hub w0 is joined to all of it), the edges beyond the wheel, the rim
+pair whose triangle with the hub is the far pole Y (the near pole X is
+always the triangle w0, w1, w2), and the labels of the triangles off the
+wheel; the labels on the wheel are read from the two rim arcs between X
+and Y.  Dispatch (``applicable_constructions``) and the one builder
 (``_build``) both read that table, and ``_build`` is the one place a
 ``ConstructionTrace`` is made.  LINE_ROOT (the complement of a line-graph
 root) and G_334 (a fixed 9-vertex seed) are the two rows not drafted from a
@@ -26,7 +28,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -36,14 +37,13 @@ from .errors import (
     NotBipartiteError,
     NotConnectedError,
     NotCubicError,
-    NotPlanarEmbeddingError,
 )
 from .formats import to_graph6
 from .graphs import Graph, ThetaSpec, bits, mask_of, theta
 from .independence import independence_report
 from .iso import canonical_key
 from .linegraphs import seed_from_line_graph
-from .planar import RotationSystem, planar_dual, trace_faces
+from .planar import RotationSystem, planar_dual
 from .reconfig import build_slide_graph
 from .search import _SCAN_MAX_N, SearchReport, scan_for_targets
 
@@ -107,9 +107,12 @@ class SeedResult:
         return self.verdict == "realizable"
 
 
-# -- named drafts ------------------------------------------------------
+# -- wheel drafts --------------------------------------------------------
 
 _NAME_CLASS = {"w": 1, "u": 2, "v": 3, "z": 4}
+
+_Edges = list[tuple[str, str]]
+_Triples = dict[str, tuple[str, ...]]
 
 
 def _name_key(name: str) -> tuple[int, int]:
@@ -123,230 +126,122 @@ def _name_key(name: str) -> tuple[int, int]:
     return (cls, 2 * num + (1 if m.group(3) else 0))
 
 
-class _Draft:
-    """Mutable named graph used while assembling a construction; frozen into
-    an ordinary Graph with the canonical order hub, rim, subdivision
-    vertices, path vertices, apexes, so seed output is byte-stable."""
-
-    def __init__(self):
-        self._adj: dict[str, set[str]] = {}
-        self.rim: list[str] = []
-
-    def add(self, name: str, *nbrs: str) -> None:
-        if name in self._adj:
-            raise InvalidParameterError(f"duplicate vertex {name}")
-        self._adj[name] = set()
-        for other in nbrs:
-            self.edge(name, other)
-
-    def edge(self, a: str, b: str) -> None:
-        self._adj[a].add(b)
-        self._adj[b].add(a)
-
-    def subdivide(self, a: str, b: str, new: str) -> None:
-        if b not in self._adj[a]:
-            raise InvalidParameterError(f"cannot subdivide missing edge {a}-{b}")
-        self._adj[a].discard(b)
-        self._adj[b].discard(a)
-        self.add(new, a, b)
-        if a in self.rim and b in self.rim:
-            ia, ib = self.rim.index(a), self.rim.index(b)
-            m = len(self.rim)
-            if (ia + 1) % m == ib:
-                self.rim.insert(ib, new)
-            elif (ib + 1) % m == ia:
-                self.rim.insert(ia, new)
-
-    def freeze(self) -> tuple[Graph, dict[str, int]]:
-        order = sorted(self._adj, key=_name_key)
-        names = {name: i for i, name in enumerate(order)}
-        edges = []
-        for a, nbrs in self._adj.items():
-            for b in nbrs:
-                if names[a] < names[b]:
-                    edges.append((names[a], names[b]))
-        return Graph(len(order), sorted(edges)), names
+def _freeze(rim: list[str], extra: _Edges) -> tuple[Graph, dict[str, int]]:
+    """The hub w0 joined to every rim vertex, the rim cycle and the extra
+    edges as a Graph, vertices in _name_key order so seed output is
+    byte-stable.  A repeated edge raises in Graph."""
+    pairs = [("w0", r) for r in rim] + list(zip(rim, rim[1:] + rim[:1])) + extra
+    order = sorted({v for pair in pairs for v in pair}, key=_name_key)
+    names = {name: i for i, name in enumerate(order)}
+    edges = sorted((min(names[a], names[b]), max(names[a], names[b])) for a, b in pairs)
+    return Graph(len(order), edges), names
 
 
-def _wheel_draft(rim_count: int) -> _Draft:
-    d = _Draft()
-    d.add("w0")
-    d.rim = [f"w{i}" for i in range(1, rim_count + 1)]
-    for name in d.rim:
-        d.add(name, "w0")
-    for a, b in zip(d.rim, d.rim[1:] + d.rim[:1]):
-        d.edge(a, b)
-    return d
-
-
-def _chain_subdivide(d: _Draft, anchor: str, other: str, new_names: list[str]) -> None:
-    """Repeatedly subdivide the edge between anchor and the newest vertex,
-    joining each new vertex to the hub."""
-    cur = other
-    for name in new_names:
-        d.subdivide(anchor, cur, name)
-        d.edge("w0", name)
-        cur = name
-
-
-def _wheel_side_labels(
-    rim: list[str], y_pair: tuple[str, str]
-) -> dict[str, tuple[str, ...]]:
-    """Name the wheel triangles: X at w1, w2, Y at y_pair, A_* walking
-    forward from X, B_* walking backward."""
-    m = len(rim)
-    ix = next(
-        i for i in range(m) if {rim[i], rim[(i + 1) % m]} == {"w1", "w2"}
-    )
-    labels: dict[str, tuple[str, ...]] = {
-        "X": ("w0", rim[ix], rim[(ix + 1) % m]),
-        "Y": ("w0",) + tuple(y_pair),
-    }
-    want = set(y_pair)
-    fwd = []
-    i = (ix + 1) % m
-    for _ in range(m):
-        if {rim[i], rim[(i + 1) % m]} == want:
-            break
-        fwd.append(("w0", rim[i], rim[(i + 1) % m]))
-        i = (i + 1) % m
-    else:
-        raise InvalidParameterError(f"pair {y_pair} not adjacent on the rim")
-    bwd = []
-    i = ix
-    for _ in range(m):
-        if {rim[(i - 1) % m], rim[i % m]} == want:
-            break
-        bwd.append(("w0", rim[(i - 1) % m], rim[i % m]))
-        i -= 1
-    for tag, side in (("A", fwd), ("B", bwd)):
+def _wheel_side_labels(rim: list[str], y: tuple[str, str]) -> _Triples:
+    """Name the hub triangles: X at w1, w2 (the rim starts there), Y at the
+    rim pair y, A_* along the arc forward from X to Y, B_* along the arc
+    backward."""
+    iy = rim.index(y[0])
+    labels: _Triples = {"X": ("w0", rim[0], rim[1]), "Y": ("w0",) + y}
+    for tag, arc in (("A", rim[1:iy + 1]), ("B", (rim[iy + 1:] + rim[:1])[::-1])):
+        side = [("w0", a, b) for a, b in zip(arc, arc[1:])]
         if len(side) == 1:
             labels[tag] = side[0]
         else:
-            for idx, triple in enumerate(side, start=1):
-                labels[f"{tag}_{idx}"] = triple
+            labels.update((f"{tag}_{i}", t) for i, t in enumerate(side, start=1))
     return labels
 
 
-# -- drafts and path labels of the wheel arms ---------------------------
-
-def _path_names(l: int) -> list[str]:
-    """The attached path w2, v1, ..., v{l-3}; index i holds v_i."""
-    return ["w2"] + [f"v{i}" for i in range(1, l - 2)]
-
-
-def _attach_path(d: _Draft, l: int, hook: str, corner: str) -> None:
-    """Path w2, v1, ..., v{l-3} with w1 fanned onto v1..v{l-4}, a chord
-    from v{l-5} (w2 when l = 5) to v{l-3}, hook joined to the last two path
-    vertices and corner to the last one."""
-    vs = _path_names(l)
-    for prev, name in zip(vs, vs[1:]):
-        d.add(name, prev)
-    for name in vs[1:l - 3]:
-        d.edge("w1", name)
-    d.edge(vs[l - 5], vs[l - 3])
-    d.edge(hook, vs[l - 4])
-    d.edge(hook, vs[l - 3])
-    d.edge(corner, vs[l - 3])
+def _path(l: int, hook: str, corner: str) -> tuple[_Edges, tuple[str, str], _Triples]:
+    """The third theta path: w2, v1, ..., v{l-3} with w1 fanned onto
+    v1..v{l-4}, a chord from v{l-5} (w2 when l = 5) to v{l-3}, hook joined
+    to the last two path vertices and corner to the last one.  Returns its
+    edges, the far pole Y at corner, hook and the labels of its triangles:
+    w1-fanned ones, one on three path vertices, then the hand-off through
+    hook to corner."""
+    vs = ["w2"] + [f"v{i}" for i in range(1, l - 2)]
+    edges = list(zip(vs, vs[1:])) + [("w1", v) for v in vs[1:l - 3]]
+    edges += [(vs[l - 5], vs[l - 3]), (hook, vs[l - 4]), (hook, vs[l - 3]),
+              (corner, vs[l - 3])]
+    labels = {f"D_{i}": ("w1", vs[i - 1], vs[i]) for i in range(1, l - 3)}
+    labels[f"D_{l - 3}"] = (vs[l - 5], vs[l - 4], vs[l - 3])
+    labels[f"D_{l - 2}"] = (hook, vs[l - 4], vs[l - 3])
+    labels[f"D_{l - 1}"] = (corner, hook, vs[l - 3])
+    return edges, (corner, hook), labels
 
 
-def _path_labels(l: int, hook: str, corner: str) -> dict[str, tuple[str, ...]]:
-    """The triangles along the path of _attach_path: w1-fanned ones, one on
-    three path vertices, then the hand-off through hook to corner."""
-    vs = _path_names(l)
-    out = {f"D_{i}": ("w1", vs[i - 1], vs[i]) for i in range(1, l - 3)}
-    out[f"D_{l - 3}"] = (vs[l - 5], vs[l - 4], vs[l - 3])
-    out[f"D_{l - 2}"] = (hook, vs[l - 4], vs[l - 3])
-    out[f"D_{l - 1}"] = (corner, hook, vs[l - 3])
-    return out
+# Each draft returns the rim in cyclic order starting w1, w2, the edges
+# beyond the wheel, the rim pair whose triangle with the hub is the far
+# pole Y, and the labels of the triangles off the wheel.
+_Wheel = tuple[list[str], _Edges, tuple[str, str], _Triples]
 
 
-def _draft_1kl(j: int, k: int, l: int) -> _Draft:
+def _draft_1kl(j: int, k: int, l: int) -> _Wheel:
     """Wheel on k+1 rim vertices plus the path w1, v1, ..., v{l-2}, w3 with
     every v joined to w2."""
-    d = _wheel_draft(k + 1)
-    vs = [f"v{i}" for i in range(1, l - 1)]
-    for name in vs:
-        d.add(name, "w2")
-    for a, b in zip(["w1"] + vs, vs + ["w3"]):
-        d.edge(a, b)
-    return d
-
-
-def _labels_1kl(l: int) -> dict[str, tuple[str, ...]]:
     path = ["w1"] + [f"v{i}" for i in range(1, l - 1)] + ["w3"]
-    return {f"D_{i}": ("w2", path[i - 1], path[i]) for i in range(1, l)}
+    steps = list(zip(path, path[1:]))
+    extra = [(v, "w2") for v in path[1:-1]] + steps
+    labels = {f"D_{i}": ("w2", a, b) for i, (a, b) in enumerate(steps, start=1)}
+    return [f"w{i}" for i in range(1, k + 2)], extra, ("w2", "w3"), labels
 
 
-def _draft_2kl(j: int, k: int, l: int) -> _Draft:
-    """Wheel on four rim vertices with the path attached (Y at w3, w4), rim
-    edge w1-w4 stretched into w1, w{k+2}, ..., w5, w4, and apex z2 on the
-    triangle w2, w3, v2 the path makes when l = 5."""
-    d = _wheel_draft(4)
-    _attach_path(d, l, "w4", "w3")
+def _draft_2kl(j: int, k: int, l: int) -> _Wheel:
+    """Rim w1, w2, w3, w4, w5, ..., w{k+2} with the path attached (Y at w3,
+    w4) and apex z2 on the triangle w2, w3, v2 the path makes when l = 5."""
+    extra, y, labels = _path(l, "w4", "w3")
     if l == 5:
-        d.add("z2", "v2", "w2", "w3")
-    _chain_subdivide(d, "w1", "w4", [f"w{i}" for i in range(5, k + 3)])
-    return d
+        extra += [("z2", v) for v in ("v2", "w2", "w3")]
+    return [f"w{i}" for i in range(1, k + 3)], extra, y, labels
 
 
-def _draft_22l(j: int, k: int, l: int) -> _Draft:
+def _draft_22l(j: int, k: int, l: int) -> _Wheel:
     """The 2,2,l draft: apex z (z1 when l = 5) on the triangle w1, w4,
-    v{l-4} that the unstretched rim edge w1-w4 closes."""
-    d = _draft_2kl(j, k, l)
-    d.add("z1" if l == 5 else "z", "w1", "w4", f"v{l - 4}")
-    return d
+    v{l-4} that the rim edge w4-w1 closes."""
+    rim, extra, y, labels = _draft_2kl(j, k, l)
+    z = "z1" if l == 5 else "z"
+    return rim, extra + [(z, v) for v in ("w1", "w4", f"v{l - 4}")], y, labels
 
 
-def _draft_flap(j: int, k: int, l: int) -> _Draft:
-    """Wheel on six rim vertices with chord w1-w4, the single path vertex v
-    joined to w1..w4 and apex z' on the triangle w0, w1, w4.  Rim edge
-    w2-w3 is stretched into w2, u1, ..., u{j-2}, w3 (on 2,4,4 apex z
-    kills the triangle v, w2, w3 instead) and rim edge w1-w6 into w1,
-    w{l+2}, ..., w7, w6."""
-    d = _wheel_draft(6)
-    d.edge("w1", "w4")
-    d.add("v", "w1", "w2", "w3", "w4")
-    d.add("z'", "w0", "w1", "w4")
+def _draft_flap(j: int, k: int, l: int) -> _Wheel:
+    """Rim w1, w2, u1, ..., u{j-2}, w3, w4, w5, w6, w7, ..., w{l+2} with
+    chord w1-w4, the single path vertex v joined to w1..w4 and apex z' on
+    the triangle w0, w1, w4 (on 2,4,4 apex z kills the triangle v, w2, w3
+    as well)."""
+    rim = (["w1", "w2"] + [f"u{i}" for i in range(1, j - 1)]
+           + [f"w{i}" for i in range(3, l + 3)])
+    extra = [("w1", "w4")] + [("v", w) for w in ("w1", "w2", "w3", "w4")]
+    extra += [("z'", w) for w in ("w0", "w1", "w4")]
     if j == 2:
-        d.add("z", "v", "w2", "w3")
-    _chain_subdivide(d, "w3", "w2", [f"u{i}" for i in range(1, j - 1)])
-    _chain_subdivide(d, "w1", "w6", [f"w{i}" for i in range(7, l + 3)])
-    return d
-
-
-def _flap_labels(l: int) -> dict[str, tuple[str, ...]]:
-    return {
+        extra += [("z", v) for v in ("v", "w2", "w3")]
+    labels = {
         "D_1": ("w1", "w2", "v"),
         "D_2": ("w1", "w4", "v"),
         "D_3": ("w3", "w4", "v"),
     }
+    return rim, extra, ("w3", "w4"), labels
 
 
-def _draft_jkl(j: int, k: int, l: int) -> _Draft:
-    """Wheel on six rim vertices with the path attached (Y at w4, w5), rim
-    edge w1-w6 stretched into w1, w{k+3}, ..., w7, w6 and rim edge w2-w3
-    into w2, u{j-3}, ..., u1, w3."""
-    d = _wheel_draft(6)
-    _attach_path(d, l, "w5", "w4")
-    _chain_subdivide(d, "w1", "w6", [f"w{i}" for i in range(7, k + 4)])
-    _chain_subdivide(d, "w2", "w3", [f"u{i}" for i in range(1, j - 2)])
-    return d
+def _draft_jkl(j: int, k: int, l: int) -> _Wheel:
+    """Rim w1, w2, u{j-3}, ..., u1, w3, w4, w5, w6, w7, ..., w{k+3} with the
+    path attached (Y at w4, w5)."""
+    extra, y, labels = _path(l, "w5", "w4")
+    rim = (["w1", "w2"] + [f"u{i}" for i in range(j - 3, 0, -1)]
+           + [f"w{i}" for i in range(3, k + 4)])
+    return rim, extra, y, labels
 
 
 def seed_graph_334() -> Graph:
     """The 9-vertex graph whose i-graph is theta(3,3,4), given directly
     rather than through a wheel complement."""
-    v = list(range(9))
-    edges = [
-        (v[0], v[1]), (v[0], v[2]), (v[0], v[3]), (v[0], v[4]), (v[0], v[7]),
-        (v[1], v[2]), (v[2], v[3]), (v[3], v[4]), (v[4], v[1]),
-        (v[1], v[5]), (v[2], v[5]),
-        (v[3], v[6]), (v[4], v[6]),
-        (v[1], v[7]), (v[4], v[7]),
-        (v[7], v[8]),
-    ]
-    return Graph(9, edges)
+    return Graph(9, [
+        (0, 1), (0, 2), (0, 3), (0, 4), (0, 7),
+        (1, 2), (2, 3), (3, 4), (4, 1),
+        (1, 5), (2, 5),
+        (3, 6), (4, 6),
+        (1, 7), (4, 7),
+        (7, 8),
+    ])
 
 
 _G334_LABELS = {
@@ -365,58 +260,35 @@ _G334_LABELS = {
 # -- the construction table ----------------------------------------------
 
 class _Arm(NamedTuple):
-    """One row of the catalog; draft, y_pair and labels are None on the
-    two rows not drafted from a wheel."""
+    """One row of the catalog; draft is None on the two rows not drafted
+    from a wheel."""
 
     covers: Callable[[int, int, int], bool]
-    draft: Callable[[int, int, int], _Draft] | None = None
-    y_pair: tuple[str, str] | None = None
-    labels: Callable[[int], dict[str, tuple[str, ...]]] | None = None
+    draft: Callable[[int, int, int], _Wheel] | None = None
     alpha: int = 3
 
-
-_Y34 = ("w3", "w4")
-_Y45 = ("w4", "w5")
-_PATH34 = partial(_path_labels, hook="w4", corner="w3")
-_PATH45 = partial(_path_labels, hook="w5", corner="w4")
 
 # most specific first: applicable_constructions keeps this order and the
 # default build takes its first match
 _ARMS: dict[str, _Arm] = {
     "LINE_ROOT": _Arm(lambda j, k, l: j == 1 and k == 2, alpha=2),
-    "C_1kl": _Arm(lambda j, k, l: j == 1 and k >= 3,
-                  _draft_1kl, ("w2", "w3"), _labels_1kl),
-    "C_22l_b": _Arm(lambda j, k, l: (j, k, l) == (2, 2, 5),
-                    _draft_22l, _Y34, _PATH34, 4),
-    "C_22l_a": _Arm(lambda j, k, l: (j, k) == (2, 2) and l >= 6,
-                    _draft_22l, _Y34, _PATH34, 4),
-    "C_23l_b": _Arm(lambda j, k, l: (j, k, l) == (2, 3, 5),
-                    _draft_2kl, _Y34, _PATH34, 4),
-    "C_23l_a": _Arm(lambda j, k, l: (j, k) == (2, 3) and l >= 6,
-                    _draft_2kl, _Y34, _PATH34),
-    "C_244": _Arm(lambda j, k, l: (j, k, l) == (2, 4, 4),
-                  _draft_flap, _Y34, _flap_labels, 4),
-    "C_2k5": _Arm(lambda j, k, l: j == 2 and k in (4, 5) and l == 5,
-                  _draft_2kl, _Y34, _PATH34, 4),
+    "C_1kl": _Arm(lambda j, k, l: j == 1 and k >= 3, _draft_1kl),
+    "C_22l_b": _Arm(lambda j, k, l: (j, k, l) == (2, 2, 5), _draft_22l, 4),
+    "C_22l_a": _Arm(lambda j, k, l: (j, k) == (2, 2) and l >= 6, _draft_22l, 4),
+    "C_23l_b": _Arm(lambda j, k, l: (j, k, l) == (2, 3, 5), _draft_2kl, 4),
+    "C_23l_a": _Arm(lambda j, k, l: (j, k) == (2, 3) and l >= 6, _draft_2kl),
+    "C_244": _Arm(lambda j, k, l: (j, k, l) == (2, 4, 4), _draft_flap, 4),
+    "C_2k5": _Arm(lambda j, k, l: j == 2 and k in (4, 5) and l == 5, _draft_2kl, 4),
     "G_334": _Arm(lambda j, k, l: (j, k, l) == (3, 3, 4), alpha=4),
-    "C_335": _Arm(lambda j, k, l: (j, k, l) == (3, 3, 5),
-                  _draft_jkl, _Y45, _PATH45),
-    "C_33l": _Arm(lambda j, k, l: (j, k) == (3, 3) and l >= 6,
-                  _draft_jkl, _Y45, _PATH45),
-    "C_344": _Arm(lambda j, k, l: (j, k, l) == (3, 4, 4),
-                  _draft_flap, _Y34, _flap_labels, 4),
-    "C_34l": _Arm(lambda j, k, l: (j, k) == (3, 4) and l >= 5,
-                  _draft_flap, _Y34, _flap_labels, 4),
-    "C_355": _Arm(lambda j, k, l: (j, k, l) == (3, 5, 5),
-                  _draft_jkl, _Y45, _PATH45),
-    "C_444": _Arm(lambda j, k, l: (j, k, l) == (4, 4, 4),
-                  _draft_flap, _Y34, _flap_labels, 4),
-    "C_jk5": _Arm(lambda j, k, l: 4 <= j <= k <= 5 and l == 5,
-                  _draft_jkl, _Y45, _PATH45),
-    "C_2kl": _Arm(lambda j, k, l: j == 2 and k >= 4 and l >= 6,
-                  _draft_2kl, _Y34, _PATH34),
-    "C_jkl": _Arm(lambda j, k, l: j >= 3 and l >= 6,
-                  _draft_jkl, _Y45, _PATH45),
+    "C_335": _Arm(lambda j, k, l: (j, k, l) == (3, 3, 5), _draft_jkl),
+    "C_33l": _Arm(lambda j, k, l: (j, k) == (3, 3) and l >= 6, _draft_jkl),
+    "C_344": _Arm(lambda j, k, l: (j, k, l) == (3, 4, 4), _draft_flap, 4),
+    "C_34l": _Arm(lambda j, k, l: (j, k) == (3, 4) and l >= 5, _draft_flap, 4),
+    "C_355": _Arm(lambda j, k, l: (j, k, l) == (3, 5, 5), _draft_jkl),
+    "C_444": _Arm(lambda j, k, l: (j, k, l) == (4, 4, 4), _draft_flap, 4),
+    "C_jk5": _Arm(lambda j, k, l: 4 <= j <= k <= 5 and l == 5, _draft_jkl),
+    "C_2kl": _Arm(lambda j, k, l: j == 2 and k >= 4 and l >= 6, _draft_2kl),
+    "C_jkl": _Arm(lambda j, k, l: j >= 3 and l >= 6, _draft_jkl),
 }
 
 def _build(arm: str, spec: ThetaSpec) -> SeedResult:
@@ -434,10 +306,9 @@ def _build(arm: str, spec: ThetaSpec) -> SeedResult:
         names = {f"v{i}": i for i in range(gbar.n)}
         labels = {tag: mask_of(vs) for tag, vs in _G334_LABELS.items()}
     else:
-        d = row.draft(j, k, l)
-        gbar, names = d.freeze()
-        triples = _wheel_side_labels(d.rim, row.y_pair)
-        triples.update(row.labels(l))
+        rim, extra, y, off_wheel = row.draft(j, k, l)
+        gbar, names = _freeze(rim, extra)
+        triples = {**_wheel_side_labels(rim, y), **off_wheel}
         labels = {
             tag: mask_of(names[v] for v in triple) for tag, triple in triples.items()
         }
@@ -727,8 +598,8 @@ def planar_seed(g: Graph, rot: RotationSystem) -> Graph:
     apply_deletion can remove.
 
     Rejects, in this order, a g that is not connected, not cubic or not
-    bipartite, and a rotation whose face count breaks Euler's formula (not a
-    sphere embedding); planar_dual then rejects a dual that is not simple.
+    bipartite; planar_dual then rejects a rotation that is not a sphere
+    embedding and a dual that is not simple.
     """
     if not g.is_connected():
         raise NotConnectedError("planar seed needs a connected graph")
@@ -736,6 +607,4 @@ def planar_seed(g: Graph, rot: RotationSystem) -> Graph:
         raise NotCubicError("planar seed needs a cubic graph")
     if not g.is_bipartite():
         raise NotBipartiteError("planar seed needs a bipartite graph")
-    if g.n - g.edge_count() + len(trace_faces(g, rot)) != 2:
-        raise NotPlanarEmbeddingError("rotation does not describe a sphere embedding")
     return planar_dual(g, rot).complement()

@@ -88,6 +88,14 @@ def test_edge_list_rejects():
         from_edge_list("3\n0 1\n0 1\n")
 
 
+def test_edge_list_takes_ascii_digits_only():
+    # int() would read these as 11, the edge (0, 10), 0 and 1
+    for text in ["1_1\n0 1\n", "11\n0 1_0\n", "2\n+0 1\n", "2\n0 -1\n",
+                 "2\n0 \u0661\n", "\u0662\n0 1\n"]:
+        with pytest.raises(FormatError):
+            from_edge_list(text)
+
+
 def test_dot_output():
     text = to_dot(path_graph(3), labels={0: "left"})
     assert "graph G {" in text

@@ -1,6 +1,7 @@
 import pytest
 
 from islide import (
+    FormatError,
     Graph,
     NonSimpleDualError,
     NotBipartiteError,
@@ -98,6 +99,21 @@ def test_cycle_embedding_dual_rejected():
     rot = RotationSystem(((1, 3), (0, 2), (1, 3), (2, 0)))
     with pytest.raises(NonSimpleDualError):
         planar_dual(g, rot)
+
+
+def test_planar_dual_rejects_torus_rotation():
+    with pytest.raises(NotPlanarEmbeddingError):
+        planar_dual(*cube_on_torus())
+
+
+def test_rotation_file_takes_ascii_digits_only():
+    # int() would read each edited token as the vertex it replaces
+    g, rot = cube_with_rotation()
+    text = rotation_to_file(g, rot)
+    assert text.startswith("0: 0-1 ")
+    for head in ["0: 0-0_1 ", "+0: 0-1 ", "0: +0-1 ", "\u0660: 0-1 ", "0: 0-\u0661 "]:
+        with pytest.raises(FormatError):
+            parse_rotation_file(text.replace("0: 0-1 ", head, 1), g)
 
 
 def test_rotation_file_roundtrip():

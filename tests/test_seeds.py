@@ -85,6 +85,14 @@ def test_invalid_specs():
     assert build_theta_seed_complement(0, 1, 1).verdict == "invalid_spec"
 
 
+def test_boolean_lengths_are_invalid_specs():
+    # bool is a subclass of int, but True is not a path length
+    for jkl in [(True, 4, 5), (1, True, 5), (2, 3, True)]:
+        res = build_theta_seed_complement(*jkl)
+        assert res.verdict == "invalid_spec"
+        assert res.reason.startswith("non-integer lengths")
+
+
 def test_forcing_requires_matching_arm():
     res = build_theta_seed_complement(2, 2, 6, construction="C_jkl")
     assert res.verdict == "invalid_spec"
@@ -158,16 +166,20 @@ def test_1kl_seed_matches_hand_transcription():
 
 
 def test_catalog_bytes_are_pinned():
-    # every spec of order <= 26 under every arm that covers it: arm id, the
-    # complement seed as graph6 and the trace JSON, 574 lines in all
-    lines = []
-    for spec in theta_specs_up_to(26):
-        for arm in applicable_constructions(spec):
-            r = build_theta_seed_complement(*spec.as_tuple(), construction=arm)
-            lines.append(f"{arm} {to_graph6(r.gbar)} {r.trace.to_json()}")
-    assert len(lines) == 574
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "f4242460b069ea778ef70db727a1005a969ebafd77524584ca8a788735f714d2"
+    # every spec of order <= 26, then <= 40, under every arm that covers it:
+    # arm id, the complement seed as graph6 and the trace JSON, one line each
+    for max_order, count, expected in [
+        (26, 574, "f4242460b069ea778ef70db727a1005a969ebafd77524584ca8a788735f714d2"),
+        (40, 1994, "f04afcfcf2f3535e128bfca4e22634227bcdf933a0dce69a9e9f2671602bc7c3"),
+    ]:
+        lines = []
+        for spec in theta_specs_up_to(max_order):
+            for arm in applicable_constructions(spec):
+                r = build_theta_seed_complement(*spec.as_tuple(), construction=arm)
+                lines.append(f"{arm} {to_graph6(r.gbar)} {r.trace.to_json()}")
+        assert len(lines) == count
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == expected
 
 
 def test_verify_examples():
