@@ -117,16 +117,8 @@ class Graph:
         return list(bits(self.adj[v]))
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1)
-            v = u + 1
-            while row:
-                if row & 1:
-                    out.append((u, v))
-                row >>= 1
-                v += 1
-        return out
+        """Edges ``(u, v)`` with u < v, in lexicographic order."""
+        return [(u, v) for u, row in enumerate(self.adj) for v in bits(row >> u + 1 << u + 1)]
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
@@ -226,18 +218,19 @@ def _mask_pairs(n: int) -> tuple[tuple[int, int, int, int], ...]:
 
 
 def line_graph(g: Graph) -> Graph:
-    """Line graph L(g): one vertex per edge of g, in lexicographic edge order."""
+    """Line graph L(g): one vertex per edge of g, in lexicographic edge order.
+
+    ``at[v]`` is the mask of the edges at v, so edge i = ab meets exactly
+    the edges of ``at[a] | at[b]`` other than itself.
+    """
     es = g.edges()
     if not es:
         raise InvalidParameterError("line graph of an edgeless graph is undefined here")
-    rows = [0] * len(es)
+    at = [0] * g.n
     for i, (a, b) in enumerate(es):
-        for j in range(i + 1, len(es)):
-            c, d = es[j]
-            if a == c or a == d or b == c or b == d:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph._from_rows(rows)
+        at[a] |= 1 << i
+        at[b] |= 1 << i
+    return Graph._from_rows((at[a] | at[b]) ^ 1 << i for i, (a, b) in enumerate(es))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

@@ -199,45 +199,37 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 def contains_induced(g: Graph, h: Graph) -> bool:
     """True iff some vertex subset of g induces a copy of h.
 
-    Backtracking over injective maps with adjacency and degree pruning.
-    The pattern is ordered so each placed vertex touches an earlier one
-    whenever h is connected.
+    Backtracking over injective maps in the order of ``_connect_order``, so
+    each placed vertex touches an earlier one whenever h is connected.  The
+    state is ``used``, the mask of the images so far, passed by value, and
+    ``image[hv]``, the bit of the image of hv, which the next try at that
+    step overwrites.  A vertex of g can take hv when its degree is at least
+    hv's and its neighbours in ``used`` are the images of hv's earlier
+    neighbours.
     """
     if h.n > g.n:
         return False
     order = _connect_order(h)
-    g_deg = [g.degree(v) for v in range(g.n)]
-    h_deg = [h.degree(v) for v in range(h.n)]
-    image = [-1] * h.n
-    used = 0
+    before = [h.adj[hv] & mask_of(order[:i]) for i, hv in enumerate(order)]   # earlier neighbours
+    image = [0] * h.n
 
-    def place(i: int) -> bool:
-        nonlocal used
-        if i == len(order):
+    def place(i: int, used: int) -> bool:
+        if i == h.n:
             return True
         hv = order[i]
-        for gv in range(g.n):
-            bit = 1 << gv
-            if used & bit or g_deg[gv] < h_deg[hv]:
-                continue
+        need = h.adj[hv].bit_count()
+        want = 0
+        for hu in bits(before[i]):
+            want |= image[hu]
+        for gv in bits(g.full_mask() & ~used):
             row = g.adj[gv]
-            ok = True
-            for hu in order[:i]:
-                gu = image[hu]
-                if bool(row >> gu & 1) != bool(h.adj[hv] >> hu & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[hv] = gv
-            used |= bit
-            if place(i + 1):
-                return True
-            used &= ~bit
-            image[hv] = -1
+            if row & used == want and row.bit_count() >= need:
+                image[hv] = 1 << gv
+                if place(i + 1, used | 1 << gv):
+                    return True
         return False
 
-    return place(0)
+    return place(0, 0)
 
 
 def _connect_order(h: Graph) -> list[int]:

@@ -1,32 +1,22 @@
 """Line-graph roots via Krausz partitions, and the seeds they provide.
 
 A graph h is a line graph exactly when its edges partition into cliques
-with every vertex lying in at most two of them.  The root graph has one
-vertex per clique (after padding each once-covered vertex with a singleton
-cell); two root vertices are adjacent when their cells share a vertex of h.
-Each vertex of h then corresponds to an edge of the root, and the line
-graph of the root is h again, via that correspondence.
+with every vertex lying in at most two of them (a Krausz partition).  The
+root graph has one vertex per clique, plus a singleton cell for each vertex
+of h in only one clique; two root vertices are adjacent when their cells
+share a vertex of h.  Each vertex of h then lies in exactly two cells, so it
+is an edge of the root, and the line graph of the root is h again, via that
+correspondence.
+
+The partition search passes its state down as vertex bitmasks, by value,
+so backtracking undoes nothing; the root's rows are unions of incidence
+masks.
 """
 from __future__ import annotations
 
 from .errors import DiamondFoundError, NotALineGraphError, NotConnectedError
-from .graphs import Graph, bits, complete_graph, line_graph, mask_of, star_graph
-from .iso import is_diamond_free, is_isomorphic
-
-
-def _cliques_containing_edge(h: Graph, u: int, v: int) -> list[int]:
-    """The cliques that can be the Krausz cell of the edge uv, largest first.
-
-    The cell holds u, v and every common neighbour but at most one: were
-    two common neighbours w and x left out, the other cell of u and the
-    other cell of v would both hold w and x, and so share the edge wx.
-    """
-    base = (1 << u) | (1 << v)
-    common = h.adj[u] & h.adj[v]
-    cells = [base | common] + [base | (common & ~(1 << w)) for w in bits(common)]
-    out = [m for m in cells if all(m & ~h.adj[x] == 1 << x for x in bits(m))]
-    out.sort(key=lambda m: (-m.bit_count(), m))
-    return out
+from .graphs import Graph, bits, complete_graph, star_graph
+from .iso import is_diamond_free
 
 
 def krausz_partition(h: Graph) -> list[int] | None:
@@ -34,52 +24,33 @@ def krausz_partition(h: Graph) -> list[int] | None:
 
     Returns the parts as vertex masks (each part carries all edges inside
     its vertex set), or None when no such partition exists.  Backtracking
-    over the lowest uncovered edge; candidate parts are tried largest first
-    so stars and triangles resolve the way line-graph roots expect.
+    over the lowest uncovered edge uv: its part holds u, v and every common
+    neighbour but at most one (were two, w and x, left out, the other parts
+    of u and of v would both hold the edge wx), tried largest first so stars
+    and triangles resolve the way line-graph roots expect.  ``left[w]``
+    holds the neighbours of w that share no part with it yet, so uv joins
+    the first u with ``left[u]`` nonzero to its lowest bit v.
     """
-    edges = h.edges()
-    if not edges:
-        return []
-    edge_index = {e: i for i, e in enumerate(edges)}
-    usage = [0] * h.n
-    covered = [False] * len(edges)
-    parts: list[int] = []
 
-    def edges_inside(mask: int) -> list[int]:
-        idxs = []
-        vs = list(bits(mask))
-        for a in range(len(vs)):
-            for b in range(a + 1, len(vs)):
-                idxs.append(edge_index[(vs[a], vs[b])])
-        return idxs
-
-    def solve() -> bool:
-        try:
-            first = covered.index(False)
-        except ValueError:
-            return True
-        u, v = edges[first]
-        for cand in _cliques_containing_edge(h, u, v):
-            inside = edges_inside(cand)
-            if any(covered[i] for i in inside):
+    def solve(left: list[int], once: int, twice: int) -> list[int] | None:
+        u = next((w for w, row in enumerate(left) if row), None)
+        if u is None:
+            return []
+        v = (left[u] & -left[u]).bit_length() - 1
+        common = h.adj[u] & h.adj[v]
+        whole = 1 << u | 1 << v | common
+        # largest first, then by mask: leaving out a higher w gives a smaller mask
+        for cand in [whole] + [whole ^ 1 << w for w in sorted(bits(common), reverse=True)]:
+            # a feasible part is a clique of uncovered edges on vertices in one part at most
+            if cand & twice or any(cand & ~left[w] != 1 << w for w in bits(cand)):
                 continue
-            if any(usage[w] >= 2 for w in bits(cand)):
-                continue
-            for i in inside:
-                covered[i] = True
-            for w in bits(cand):
-                usage[w] += 1
-            parts.append(cand)
-            if solve():
-                return True
-            parts.pop()
-            for w in bits(cand):
-                usage[w] -= 1
-            for i in inside:
-                covered[i] = False
-        return False
+            rest = solve([row & ~cand if cand >> w & 1 else row for w, row in enumerate(left)],
+                         once | cand, twice | once & cand)
+            if rest is not None:
+                return [cand] + rest
+        return None
 
-    return parts if solve() else None
+    return solve(list(h.adj), 0, 0)
 
 
 def line_graph_root(h: Graph) -> Graph:
@@ -87,31 +58,30 @@ def line_graph_root(h: Graph) -> Graph:
 
     K_3 has two roots (itself and the claw); the triangle-free claw is
     preferred.  Raises NotALineGraphError when no Krausz partition exists.
+    The root's vertices are the parts, then the singletons in vertex order.
     """
     if not h.is_connected():
         raise NotConnectedError("root recovery needs a connected graph")
     if h.n == 1:
         return complete_graph(2)
-    if is_isomorphic(h, complete_graph(3)):
+    if h.n == 3 and h.edge_count() == 3:
         return star_graph(3)
     parts = krausz_partition(h)
     if parts is None:
         raise NotALineGraphError("no Krausz partition: not a line graph")
-    cells = list(parts)
-    usage = [0] * h.n
+    once = twice = 0
     for p in parts:
-        for w in bits(p):
-            usage[w] += 1
-    for w in range(h.n):
-        if usage[w] == 1:
-            cells.append(1 << w)
+        once, twice = once | p, twice | once & p
+    cells = parts + [1 << w for w in bits(once & ~twice)]
+    at = [0] * h.n   # at[w]: the two cells that hold w, a root edge
+    for i, cell in enumerate(cells):
+        for w in bits(cell):
+            at[w] |= 1 << i
     rows = [0] * len(cells)
-    for a in range(len(cells)):
-        for b in range(a + 1, len(cells)):
-            if cells[a] & cells[b]:
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-    return Graph._from_rows(rows)
+    for pair in at:
+        for i in bits(pair):
+            rows[i] |= pair
+    return Graph._from_rows(row ^ 1 << i for i, row in enumerate(rows))
 
 
 def seed_from_line_graph(h: Graph) -> Graph:

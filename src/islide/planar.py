@@ -121,7 +121,8 @@ def planar_dual(g: Graph, rot: RotationSystem) -> Graph:
 
 def parse_rotation_file(text: str, g: Graph) -> RotationSystem:
     """One line per vertex: ``v: a-b a-c ...`` where each edge is written with
-    its smaller endpoint first.  Edges must be incident to v."""
+    its smaller endpoint first.  Edges must be incident to v, and every
+    vertex is listed exactly once."""
     rings: dict[int, tuple[int, ...]] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -149,6 +150,8 @@ def parse_rotation_file(text: str, g: Graph) -> RotationSystem:
                 ring.append(x)
             else:
                 raise FormatError(f"edge {token!r} not incident to vertex {v}")
+        if v in rings:
+            raise FormatError(f"vertex {v} listed twice")
         rings[v] = tuple(ring)
     if sorted(rings) != list(range(g.n)):
         raise FormatError("rotation file must cover every vertex exactly once")

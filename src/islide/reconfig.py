@@ -42,8 +42,7 @@ class SlideGraph:
         nodes = self.nodes
         return tuple((a, b, (nodes[a] & ~nodes[b]).bit_length() - 1,
                       (nodes[b] & ~nodes[a]).bit_length() - 1)
-                     for a, row in enumerate(self.skeleton.adj)
-                     for b in bits(row >> a + 1 << a + 1))   # the neighbours b > a
+                     for a, b in self.skeleton.edges())
 
 
 def build_slide_graph(g: Graph, family: list[int]) -> SlideGraph:

@@ -19,9 +19,9 @@ always the triangle w0, w1, w2), and the labels of the triangles off the
 wheel; the labels on the wheel are read from the two rim arcs between X
 and Y.  Dispatch (``applicable_constructions``) and the one builder
 (``_build``) both read that table, and ``_build`` is the one place a
-``ConstructionTrace`` is made.  LINE_ROOT (the complement of a line-graph
-root) and G_334 (a fixed 9-vertex seed) are the two rows not drafted from a
-wheel.
+``ConstructionTrace`` is made.  LINE_ROOT (gbar is the line-graph root of
+the theta graph) and G_334 (a fixed 9-vertex seed) are the two rows not
+drafted from a wheel.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ from .formats import to_graph6
 from .graphs import Graph, ThetaSpec, bits, mask_of, theta
 from .independence import independence_report
 from .iso import canonical_key
-from .linegraphs import seed_from_line_graph
+from .linegraphs import line_graph_root
 from .planar import RotationSystem, planar_dual
 from .reconfig import build_slide_graph
 from .search import _SCAN_MAX_N, SearchReport, scan_for_targets
@@ -297,7 +297,7 @@ def _build(arm: str, spec: ThetaSpec) -> SeedResult:
     j, k, l = spec.as_tuple()
     expected_i = 3
     if arm == "LINE_ROOT":
-        gbar = seed_from_line_graph(theta(spec)).complement()
+        gbar = line_graph_root(theta(spec))
         names = {f"c{i}": i for i in range(gbar.n)}
         labels = {}
         expected_i = 2

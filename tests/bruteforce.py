@@ -187,6 +187,13 @@ def brute_graph6(g: Graph) -> str:
     return "".join(chr(x + 63) for x in size + body)
 
 
+def brute_line_graph(g: Graph) -> Graph:
+    """L(g) from the definition: one vertex per edge of g, edges taken in
+    lexicographic order, two adjacent when they share an endpoint."""
+    es = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v)]
+    return Graph(len(es), [(i, j) for j in range(len(es)) for i in range(j) if set(es[i]) & set(es[j])])
+
+
 def brute_is_isomorphic(g: Graph, h: Graph) -> bool:
     """All-permutations check; n <= 8 or so."""
     if g.n != h.n or g.edge_count() != h.edge_count():

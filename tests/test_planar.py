@@ -116,6 +116,13 @@ def test_rotation_file_takes_ascii_digits_only():
             parse_rotation_file(text.replace("0: 0-1 ", head, 1), g)
 
 
+def test_rotation_file_rejects_a_vertex_listed_twice():
+    # the toroidal rotation of vertex 0 ahead of its sphere rotation
+    g, rot = cube_with_rotation()
+    with pytest.raises(FormatError, match="vertex 0 listed twice"):
+        parse_rotation_file("0: 0-4 0-3 0-1\n" + rotation_to_file(g, rot), g)
+
+
 def test_rotation_file_roundtrip():
     g, rot = cube_with_rotation()
     text = rotation_to_file(g, rot)

@@ -1,9 +1,10 @@
-"""Property tests of the edge-mask codec, of canonical labelling and of the
-maximal-independent-set families against the independent oracles in
-``bruteforce``."""
+"""Property tests of the edge-mask codec, of canonical labelling, of the
+maximal-independent-set families and of line graphs and their roots against
+the independent oracles in ``bruteforce``."""
+import itertools
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from islide import (
     Graph,
@@ -14,16 +15,22 @@ from islide import (
     disjoint_union,
     from_graph6,
     independence_report,
+    krausz_partition,
+    line_graph,
+    line_graph_root,
     maximal_independent_sets,
     path_graph,
+    star_graph,
     to_graph6,
 )
 from islide import iso
 
 from bruteforce import (
+    brute_contains_induced,
     brute_graph6,
     brute_is_isomorphic,
     brute_labeled_graphs,
+    brute_line_graph,
     brute_maximal_independent_sets,
     paley_graph,
     petersen_graph,
@@ -134,3 +141,44 @@ def test_mis_families_match_bruteforce(g):
     assert (rep.i, rep.alpha, rep.total_mis_count) == (i, alpha, len(brute))
     assert set(rep.i_sets) == {s for s in brute if s.bit_count() == i}
     assert set(rep.alpha_sets) == {s for s in brute if s.bit_count() == alpha}
+
+
+@settings(deadline=None)
+@given(graphs(11))
+def test_line_graph_matches_definition(g):
+    assume(g.edge_count())   # at most 55 edges, within the 64-vertex cap
+    assert line_graph(g) == brute_line_graph(g)
+
+
+@settings(deadline=None)
+@given(st.integers(2, 7), st.floats(0.3, 1), st.randoms())
+def test_line_graph_root_recovers_the_graph(n, p, rng):
+    # Whitney: a connected graph is determined by its line graph, but for K3 and the claw
+    f = random_graph(rng, n, p)
+    assume(f.is_connected())
+    h = line_graph(f)
+    root = line_graph_root(h.relabel(random_permutation(rng, h.n)))
+    triangle = f.n == 3 and f.edge_count() == 3
+    assert brute_is_isomorphic(root, star_graph(3) if triangle else f)
+
+
+@settings(deadline=None)
+@given(graphs(7), st.booleans())
+def test_krausz_parts_partition_the_edges(g, of_line_graph):
+    h = line_graph(g) if of_line_graph and g.edge_count() else g
+    parts = krausz_partition(h)
+    assume(parts is not None)
+    pairs = [p for part in parts
+             for p in itertools.combinations([v for v in range(h.n) if part >> v & 1], 2)]
+    assert all(h.has_edge(u, v) for u, v in pairs)   # each part is a clique
+    edges = [(u, v) for u in range(h.n) for v in range(u + 1, h.n) if h.has_edge(u, v)]
+    assert sorted(pairs) == edges                    # that covers each edge once
+    assert all(sum(part >> v & 1 for part in parts) <= 2 for v in range(h.n))
+
+
+@settings(deadline=None)
+@given(st.integers(4, 8), st.floats(0.2, 0.6), st.randoms())
+def test_graphs_with_an_induced_claw_have_no_krausz_partition(n, p, rng):
+    g = random_graph(rng, n, p)   # sparse enough for claws, dense enough for cliques
+    assume(brute_contains_induced(g, star_graph(3)))
+    assert krausz_partition(g) is None
