@@ -99,9 +99,6 @@ def cmd_compute(args) -> int:
 
 def cmd_seed(args) -> int:
     result = build_theta_seed_complement(args.j, args.k, args.l)
-    if result.verdict == "invalid_spec":
-        print(f"invalid spec: {result.reason}", file=sys.stderr)
-        return EXIT_USAGE
     if result.verdict == "not_realizable":
         print(f"not realizable: exception {result.reason}")
         return EXIT_VERDICT

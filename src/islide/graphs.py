@@ -353,8 +353,6 @@ def classify_theta(g: Graph) -> ThetaSpec | None:
     j, k, l = sorted(lengths)
     if j + k + l - 1 != g.n:
         return None
-    if j == 1 and k == 1:
-        return None
     return ThetaSpec(j, k, l)
 
 

@@ -22,6 +22,10 @@ and Y.  Dispatch (``applicable_constructions``) and the one builder
 ``ConstructionTrace`` is made.  LINE_ROOT (gbar is the line-graph root of
 the theta graph) and G_334 (a fixed 9-vertex seed) are the two rows not
 drafted from a wheel.
+
+``build_theta_seed_complement(j, k, l)`` builds the first arm covering the
+triple, and a bad triple raises from ``ThetaSpec``: ``InvalidThetaSpecError``
+when malformed, ``CapacityError`` above 64 vertices.
 """
 from __future__ import annotations
 
@@ -33,7 +37,6 @@ from typing import Callable, NamedTuple
 from .errors import (
     DeletionPreconditionError,
     InvalidParameterError,
-    InvalidThetaSpecError,
     NotBipartiteError,
     NotConnectedError,
     NotCubicError,
@@ -41,7 +44,7 @@ from .errors import (
 from .formats import to_graph6
 from .graphs import Graph, ThetaSpec, bits, mask_of, theta
 from .independence import independence_report
-from .iso import canonical_key
+from .iso import is_isomorphic
 from .linegraphs import line_graph_root
 from .planar import RotationSystem, planar_dual
 from .reconfig import build_slide_graph
@@ -97,7 +100,7 @@ class ConstructionTrace:
 
 @dataclass(frozen=True)
 class SeedResult:
-    verdict: str  # "realizable" | "not_realizable" | "invalid_spec"
+    verdict: str  # "realizable" | "not_realizable"; a bad triple raises
     gbar: Graph | None = None
     trace: ConstructionTrace | None = None
     reason: str | None = None
@@ -268,8 +271,8 @@ class _Arm(NamedTuple):
     alpha: int = 3
 
 
-# most specific first: applicable_constructions keeps this order and the
-# default build takes its first match
+# most specific first: applicable_constructions keeps this order and
+# build_theta_seed_complement takes its first match
 _ARMS: dict[str, _Arm] = {
     "LINE_ROOT": _Arm(lambda j, k, l: j == 1 and k == 2, alpha=2),
     "C_1kl": _Arm(lambda j, k, l: j == 1 and k >= 3, _draft_1kl),
@@ -336,7 +339,7 @@ def theta_specs_up_to(max_order: int) -> list[ThetaSpec]:
     """All valid (j,k,l) with j+k+l-1 <= max_order, exceptions included."""
     out = []
     for j in range(1, max_order + 1):
-        for k in range(max(j, 2) if j == 1 else j, max_order + 1):
+        for k in range(2 if j == 1 else j, max_order + 1):
             for l in range(k, max_order + 1):
                 if j + k + l - 1 > max_order:
                     break
@@ -344,29 +347,18 @@ def theta_specs_up_to(max_order: int) -> list[ThetaSpec]:
     return out
 
 
-def build_theta_seed_complement(
-    j: int, k: int, l: int, construction: str | None = None
-) -> SeedResult:
-    """Complement seed gbar for theta(j,k,l); the caller complements it to
-    get the seed G itself.  The seven known exceptions come back as
-    not_realizable; malformed triples as invalid_spec."""
-    try:
-        spec = ThetaSpec(j, k, l)
-    except InvalidThetaSpecError as exc:
-        return SeedResult("invalid_spec", reason=str(exc))
+def build_theta_seed_complement(j: int, k: int, l: int) -> SeedResult:
+    """Complement seed gbar for theta(j,k,l), built by the first arm of
+    applicable_constructions; the caller complements it to get the seed G
+    itself.  The seven known exceptions come back as not_realizable.
+    ThetaSpec raises InvalidThetaSpecError on a malformed triple and
+    CapacityError on one above 64 vertices."""
+    spec = ThetaSpec(j, k, l)
     if spec.as_tuple() in THETA_EXCEPTIONS:
         return SeedResult(
             "not_realizable", reason=THETA_EXCEPTIONS[spec.as_tuple()]
         )
-    arms = applicable_constructions(spec)
-    if construction is not None:
-        if construction not in arms:
-            return SeedResult(
-                "invalid_spec",
-                reason=f"{construction} does not cover {spec}; options: {arms}",
-            )
-        return _build(construction, spec)
-    return _build(arms[0], spec)
+    return _build(applicable_constructions(spec)[0], spec)
 
 
 # -- verification -------------------------------------------------------
@@ -390,11 +382,11 @@ class SeedVerification:
         return [c for c in self.clauses if not c.passed]
 
 
-def verify_theta_seed(
-    j: int, k: int, l: int, construction: str | None = None
-) -> SeedVerification:
-    """Build the seed for theta(j,k,l) and check it with check_seed."""
-    result = build_theta_seed_complement(j, k, l, construction=construction)
+def verify_theta_seed(j: int, k: int, l: int) -> SeedVerification:
+    """Build the seed for theta(j,k,l) and check it with check_seed.  One
+    of the seven exceptions raises InvalidParameterError; a bad triple
+    raises as in build_theta_seed_complement."""
+    result = build_theta_seed_complement(j, k, l)
     if not result.is_realizable:
         raise InvalidParameterError(
             f"theta({j},{k},{l}) has no seed here: {result.reason}"
@@ -407,22 +399,13 @@ def check_seed(result: SeedResult) -> SeedVerification:
     order, isomorphism to the target theta graph, the labeled i-sets, and
     the alpha-graph behaviour.
 
-    Each distinct graph is labelled once: the target's canonical key is
-    computed up front, and when G is well covered its alpha-sets are its
-    i-sets, so the alpha-graph is the i-graph and reuses its result."""
+    When G is well covered its alpha-sets are its i-sets, so the
+    alpha-graph is the i-graph and reuses its result."""
     gbar, trace = result.gbar, result.trace
     spec = ThetaSpec(*trace.params)
     g = gbar.complement()
     report = independence_report(g)
     target = theta(spec)
-    target_key = canonical_key(target)
-    target_degrees = target.degree_sequence()
-
-    def matches_target(h: Graph) -> bool:
-        # is_isomorphic(h, target) without labelling the target again
-        return (h.n == target.n and h.degree_sequence() == target_degrees
-                and canonical_key(h) == target_key)
-
     clauses = []
 
     clauses.append(
@@ -440,7 +423,7 @@ def check_seed(result: SeedResult) -> SeedVerification:
             f"|V(I(G))|={sg.node_count()}, expected {trace.expected_order}",
         )
     )
-    i_match = matches_target(sg.skeleton)
+    i_match = is_isomorphic(sg.skeleton, target)
     clauses.append(ClauseResult("i_graph_isomorphic", i_match, f"skeleton vs {spec}"))
     missing = [
         tag for tag, m in trace.expected_labels.items() if m not in report.i_sets
@@ -462,7 +445,8 @@ def check_seed(result: SeedResult) -> SeedVerification:
     if report.well_covered:
         a_match = i_match
     else:
-        a_match = matches_target(build_slide_graph(g, list(report.alpha_sets)).skeleton)
+        a_match = is_isomorphic(
+            build_slide_graph(g, list(report.alpha_sets)).skeleton, target)
     if trace.alpha_equal:
         clauses.append(
             ClauseResult(

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from islide import (
+    CapacityError,
     DeletionPreconditionError,
     Graph,
     InvalidParameterError,
+    InvalidThetaSpecError,
     THETA_EXCEPTIONS,
     ThetaSpec,
     applicable_constructions,
@@ -29,7 +31,7 @@ from islide import (
 )
 
 import islide.iso
-from islide.seeds import _ARMS, check_seed
+from islide.seeds import _ARMS, _build, check_seed, verify_table
 from bruteforce import random_graph, reference_check_seed
 
 
@@ -79,33 +81,37 @@ def test_exceptions_not_realizable():
         assert applicable_constructions(ThetaSpec(*jkl)) == []
 
 
+SEED_ENTRY_POINTS = (build_theta_seed_complement, verify_theta_seed)
+
+
 def test_invalid_specs():
-    assert build_theta_seed_complement(1, 1, 4).verdict == "invalid_spec"
-    assert build_theta_seed_complement(3, 2, 4).verdict == "invalid_spec"
-    assert build_theta_seed_complement(0, 1, 1).verdict == "invalid_spec"
+    # a malformed triple and one above 64 vertices raise from both calls
+    for jkl, error, reason in [
+        ((1, 1, 4), InvalidThetaSpecError, "two paths of length 1"),
+        ((3, 2, 4), InvalidThetaSpecError, "lengths must satisfy j <= k <= l"),
+        ((0, 1, 1), InvalidThetaSpecError, "path lengths must be positive"),
+        ((30, 30, 30), CapacityError, "89 vertices"),
+    ]:
+        for fn in SEED_ENTRY_POINTS:
+            with pytest.raises(error, match=reason):
+                fn(*jkl)
 
 
 def test_boolean_lengths_are_invalid_specs():
     # bool is a subclass of int, but True is not a path length
     for jkl in [(True, 4, 5), (1, True, 5), (2, 3, True)]:
-        res = build_theta_seed_complement(*jkl)
-        assert res.verdict == "invalid_spec"
-        assert res.reason.startswith("non-integer lengths")
-
-
-def test_forcing_requires_matching_arm():
-    res = build_theta_seed_complement(2, 2, 6, construction="C_jkl")
-    assert res.verdict == "invalid_spec"
-    forced = build_theta_seed_complement(3, 4, 7, construction="C_jkl")
-    assert forced.is_realizable and forced.trace.construction_id == "C_jkl"
+        for fn in SEED_ENTRY_POINTS:
+            with pytest.raises(InvalidThetaSpecError, match="^non-integer lengths"):
+                fn(*jkl)
 
 
 def test_overlapping_arms_both_verify():
     for jkl in [(3, 3, 7), (3, 4, 6), (3, 4, 8)]:
-        arms = applicable_constructions(ThetaSpec(*jkl))
+        spec = ThetaSpec(*jkl)
+        arms = applicable_constructions(spec)
         assert len(arms) == 2
         for arm in arms:
-            assert verify_theta_seed(*jkl, construction=arm).passed
+            assert check_seed(_build(arm, spec)).passed
 
 
 def test_trace_names_are_bijection():
@@ -175,7 +181,7 @@ def test_catalog_bytes_are_pinned():
         lines = []
         for spec in theta_specs_up_to(max_order):
             for arm in applicable_constructions(spec):
-                r = build_theta_seed_complement(*spec.as_tuple(), construction=arm)
+                r = _build(arm, spec)
                 lines.append(f"{arm} {to_graph6(r.gbar)} {r.trace.to_json()}")
         assert len(lines) == count
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -204,7 +210,7 @@ def _clauses(v):
 def _built_seeds(max_order):
     for spec in theta_specs_up_to(max_order):
         for arm in applicable_constructions(spec):
-            yield spec, build_theta_seed_complement(*spec.as_tuple(), construction=arm)
+            yield spec, _build(arm, spec)
 
 
 def test_check_seed_matches_reference_on_every_arm():
@@ -258,6 +264,24 @@ def test_check_seed_labels_each_graph_once(monkeypatch, jkl, most):
     monkeypatch.setattr(islide.iso, "_canonical", counted)
     assert verify_theta_seed(*jkl).passed
     assert 1 <= len(calls) <= most
+
+
+def test_catalog_labels_each_realizable_spec_twice(monkeypatch):
+    # the i-graph and the target once each; the alpha-graph of an alpha-4
+    # seed differs from the target in order, so it is never labelled
+    calls = []
+    real = islide.iso._canonical
+
+    def counted(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(islide.iso, "_canonical", counted)
+    report = verify_table(26, corroborate_max_n=0)
+    assert report.passed
+    realizable = sum(e.outcome == "verified" for e in report.entries)
+    assert realizable == 543
+    assert len(calls) <= 2 * realizable == 1086
 
 
 def test_verify_rejects_exceptions():
