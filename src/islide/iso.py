@@ -16,8 +16,11 @@ the first or the best leaf sends the search back to where their paths
 branch.  Each skipped subtree is the image of one searched earlier, so
 every pruned leaf has an equal twin that comes first, and keys and
 relabelings are exactly those of the exhaustive search of earlier releases
-(``tests/bruteforce.py`` keeps it as ``reference_canonical``).  Refinement
-re-sorts only the vertices next to a vertex whose color just changed.
+(``tests/bruteforce.py`` keeps it as ``reference_canonical``).  The
+automorphisms found come back with the labelling; they generate the
+automorphism group, and the class scan in ``search`` labels one extension
+per orbit of them.  Refinement re-sorts only the vertices next to a vertex
+whose color just changed.
 Highly symmetric graphs stay cheap (Q5 and 4·C4 take milliseconds), since
 the leaves visited grow with the automorphisms found, not with the order of
 the automorphism group; the worst case is still exponential.
@@ -76,14 +79,25 @@ def _refine(nbrs: list[list[int]], adj: list[int], color: list[int], cend: list[
             cend[start] = e
 
 
-def _canonical(g: Graph) -> tuple[int, list[int]]:
-    """Edge mask and relabeling of the smallest completion: ``(key, perm)``."""
+def _canonical(g: Graph) -> tuple[int, list[int], list[list[int]]]:
+    """Edge mask and relabeling of the smallest completion, and automorphisms
+    of g: ``(key, perm, gens)``.
+
+    Each ``gamma`` in gens is an automorphism that maps vertex v to
+    ``gamma[v]``, so ``g.relabel(gamma) == g``.  They are the ones the
+    search found from equal leaves, which generate the automorphism group,
+    or for an empty or complete graph an n-cycle and a transposition.
+    """
     n = g.n
     adj = g.adj
     m2 = sum(row.bit_count() for row in adj)
     if m2 == 0 or m2 == n * (n - 1):
-        # empty and complete graphs are fixed by every relabeling
-        return g._edge_mask(), list(range(n))
+        # empty and complete graphs are fixed by every relabeling, and an
+        # n-cycle and a transposition generate them all
+        gens = [list(range(1, n)) + [0]]
+        if n > 2:
+            gens.append([1, 0] + list(range(2, n)))
+        return g._edge_mask(), list(range(n)), gens if n > 1 else []
     nbrs = [list(bits(row)) for row in adj]
     # automorphisms found from equal leaves, each with the mask of the vertices it moves
     gens: list[tuple[list[int], int]] = []
@@ -161,7 +175,7 @@ def _canonical(g: Graph) -> tuple[int, list[int]]:
     cend[0] = n
     # every vertex counts as moved at the root: isolated ones (empty tuple) stay first
     descend([], 0, [0] * n, cend, list(range(n)))
-    return best[0], best[1]
+    return best[0], best[1], [gamma for gamma, _ in gens]
 
 
 def _find(root: dict[int, int], v: int) -> int:

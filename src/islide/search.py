@@ -6,15 +6,21 @@ vertex; level n is the set of canonical edge masks (see ``iso``) of the
 one-vertex extensions of the level-(n-1) classes whose new vertex has
 maximum degree.  Every graph G is G - v plus v for a vertex v of maximum
 degree, and the class of G - v is in the level below, so the levels hold
-exactly the classes (McKay's canonical deletion, J. Algorithms 1998).  The
-connected classes are the connected members of each level, since deleting
-a maximum-degree vertex can disconnect a graph.  Each class is tested
-once: the library's own ``i_graph`` builds its i-graph, and one canonical
-key of the skeleton is looked up among the targets' keys.  Both stages run
-through the builtin ``map`` for one job or a process pool's ``imap`` for
-more, per parent to build a level and per class to test it.  Levels are
-sorted, so witnesses come out in (n, canonical edge mask) order, and an
-early stop ends after the same level whatever the number of jobs.
+exactly the classes (McKay's canonical deletion, J. Algorithms 1998).  An
+automorphism of the parent maps the extension by a neighbourhood onto the
+extension by its image, and it keeps the new vertex's degree maximum, so
+the neighbourhoods are split into orbits under the automorphisms that
+labelling the parent yields, and one per orbit is labelled.  The connected
+classes are the connected members of each level, since deleting a
+maximum-degree vertex can disconnect a graph.  Each class is tested once:
+the library's own ``i_graph`` builds its i-graph, and when the skeleton's
+degree sequence is some target's (a necessary condition for isomorphism),
+one canonical key of it is looked up among the targets' keys.  Both stages
+run through the builtin ``map`` for one job or a process pool's ``imap`` in
+batches of ``_CHUNK`` items for more, per parent to build a level and per
+class to test it.  Levels are sorted and ``imap`` keeps their order, so
+witnesses come out in (n, canonical edge mask) order, and an early stop
+ends after the same level whatever the number of jobs.
 """
 from __future__ import annotations
 
@@ -22,15 +28,19 @@ import json
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from multiprocessing import Pool
 
 from .errors import InvalidParameterError
 from .formats import to_graph6
-from .graphs import Graph, mask_of
-from .iso import canonical_key
+from .graphs import Graph, bits, mask_of
+from .iso import _canonical, canonical_key
 from .reconfig import i_graph
 
 _SCAN_MAX_N = 8
+# items per message to a pool worker: testing a class takes well under a
+# millisecond, so items sent one by one keep the workers waiting on messages
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -71,16 +81,33 @@ def _extensions(args) -> set[int]:
     """Canonical edge masks of the one-vertex extensions of the graph with
     edge mask ``mask`` on n vertices in which the new vertex has maximum
     degree: at least the top degree, and above it when it touches a vertex
-    of top degree."""
+    of top degree.  Only the first neighbourhood of each orbit of the
+    parent's automorphisms is labelled (see the module docstring)."""
     n, mask = args
-    degrees = [row.bit_count() for row in Graph._from_mask(n, mask).adj]
+    parent = Graph._from_mask(n, mask)
+    degrees = [row.bit_count() for row in parent.adj]
     top = max(degrees)
     busiest = mask_of(v for v, d in enumerate(degrees) if d == top)
+    # images[i][v] is the bit of the image of vertex v under generator i
+    images = [[1 << w for w in gamma] for gamma in _canonical(parent)[2]]
     # the new vertex n takes the edge mask bits n(n-1)/2 .. n(n+1)/2 - 1
     shift = n * (n - 1) // 2
-    return {canonical_key(Graph._from_mask(n + 1, mask | nbrs << shift))[1]
-            for nbrs in range(1 << n)
-            if nbrs.bit_count() > top or nbrs.bit_count() == top and not nbrs & busiest}
+    keys = set()
+    seen = set()
+    for nbrs in range(1 << n):
+        size = nbrs.bit_count()
+        if nbrs in seen or size < top or size == top and nbrs & busiest:
+            continue
+        orbit = [nbrs]
+        seen.add(nbrs)
+        for x in orbit:
+            for image in images:
+                y = sum(image[v] for v in bits(x))
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        keys.add(canonical_key(Graph._from_mask(n + 1, mask | nbrs << shift))[1])
+    return keys
 
 
 def _class_levels(max_n: int, connected_only: bool, run=map):
@@ -97,11 +124,15 @@ def _class_levels(max_n: int, connected_only: bool, run=map):
                   if connected_only else level)
 
 
-def _i_graph_key(args) -> tuple[int, int]:
+def _i_graph_key(degrees: frozenset[tuple[int, ...]], args) -> tuple[int, int] | None:
     """Canonical key of the i-graph skeleton of the graph with edge mask
-    ``mask`` on n vertices."""
+    ``mask`` on n vertices, or None when the skeleton's degree sequence is
+    not in ``degrees`` (it then matches no target)."""
     n, mask = args
-    return canonical_key(i_graph(Graph._from_mask(n, mask)).skeleton)
+    skeleton = i_graph(Graph._from_mask(n, mask)).skeleton
+    if skeleton.degree_sequence() not in degrees:
+        return None
+    return canonical_key(skeleton)
 
 
 def scan_for_targets(
@@ -128,12 +159,13 @@ def scan_for_targets(
     wanted: dict[tuple[int, int], list[int]] = {}
     for idx, t in enumerate(targets):
         wanted.setdefault(canonical_key(t), []).append(idx)
+    key_of = partial(_i_graph_key, frozenset(t.degree_sequence() for t in targets))
     examined = 0
     hits: list[tuple[int, int, int]] = []
     with Pool(jobs) if jobs > 1 else nullcontext() as pool:
-        run = pool.imap if jobs > 1 else map
+        run = partial(pool.imap, chunksize=_CHUNK) if jobs > 1 else map
         for n, level in _class_levels(max_n, connected_only, run):
-            keys = run(_i_graph_key, ((n, mask) for mask in level))
+            keys = run(key_of, ((n, mask) for mask in level))
             for mask, key in zip(level, keys):
                 hits.extend((n, mask, idx) for idx in wanted.get(key, ()))
             examined += len(level)

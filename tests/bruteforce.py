@@ -206,6 +206,16 @@ def brute_is_isomorphic(g: Graph, h: Graph) -> bool:
     return False
 
 
+def brute_automorphism_orbits(g: Graph) -> set[frozenset[int]]:
+    """Vertex orbits of every permutation that maps edges to edges; n <= 7
+    or so."""
+    ge = set(g.edges())
+    he = _sym(g)
+    auts = [perm for perm in itertools.permutations(range(g.n))
+            if all((perm[u], perm[v]) in he for u, v in ge)]
+    return {frozenset(perm[v] for perm in auts) for v in range(g.n)}
+
+
 def _sym(h: Graph) -> set[tuple[int, int]]:
     out = set()
     for u, v in h.edges():

@@ -10,6 +10,7 @@ from islide import (
     Graph,
     canonical_form,
     canonical_key,
+    complete_graph,
     cycle_graph,
     diamond_graph,
     disjoint_union,
@@ -26,6 +27,7 @@ from islide import (
 from islide import iso
 
 from bruteforce import (
+    brute_automorphism_orbits,
     brute_contains_induced,
     brute_graph6,
     brute_is_isomorphic,
@@ -96,7 +98,7 @@ def test_canonical_key_decodes_to_canonical_form(g):
 @settings(deadline=None)
 @given(graphs(8))
 def test_canonical_matches_leaf_exhaustive_reference(g):
-    assert iso._canonical(g) == reference_canonical(g)
+    assert iso._canonical(g)[:2] == reference_canonical(g)
 
 
 def test_canonical_matches_reference_on_symmetric_graphs():
@@ -110,7 +112,41 @@ def test_canonical_matches_reference_on_symmetric_graphs():
         twice = disjoint_union(disjoint_union(h, h), Graph(1))
         inputs += [twice.relabel(random_permutation(rng, twice.n)) for _ in range(3)]
     for g in inputs:
-        assert iso._canonical(g) == reference_canonical(g)
+        assert iso._canonical(g)[:2] == reference_canonical(g)
+
+
+def generated_orbits(n: int, gens: list[list[int]]) -> set[frozenset[int]]:
+    """Vertex orbits of the group that the permutations ``gens`` generate."""
+    orbits = set()
+    for v in range(n):
+        orbit = [v]
+        for u in orbit:
+            for gamma in gens:
+                if gamma[u] not in orbit:
+                    orbit.append(gamma[u])
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
+@settings(deadline=None)
+@given(graphs(8))
+def test_canonical_generators_are_automorphisms(g):
+    for gamma in iso._canonical(g)[2]:
+        assert g.relabel(gamma) == g
+
+
+@settings(deadline=None)
+@given(graphs(6))
+def test_canonical_generators_give_the_automorphism_orbits(g):
+    assert generated_orbits(g.n, iso._canonical(g)[2]) == brute_automorphism_orbits(g)
+
+
+def test_generators_of_empty_and_complete_graphs():
+    for n in range(1, 7):
+        for g in (Graph(n), complete_graph(n)):
+            gens = iso._canonical(g)[2]
+            assert all(g.relabel(gamma) == g for gamma in gens)
+            assert generated_orbits(n, gens) == brute_automorphism_orbits(g) == {frozenset(range(n))}
 
 
 @settings(deadline=None)

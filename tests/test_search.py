@@ -10,11 +10,15 @@ from islide import (
     confirm_non_realizable,
     cycle_graph,
     diamond_graph,
+    disjoint_union,
     enumerate_labeled_graphs,
     find_seed,
+    house_graph,
     i_graph,
     is_isomorphic,
+    path_graph,
     scan_for_targets,
+    star_graph,
     theta_graph,
     verify_table,
     wheel_graph,
@@ -147,6 +151,48 @@ def test_class_levels_match_oeis_through_8():
         assert level == sorted(set(level))
         if n <= 6:
             assert all(canonical_key(Graph._from_mask(n, m)) == (n, m) for m in level)
+
+
+def test_class_levels_label_one_extension_per_orbit(monkeypatch):
+    # one labelling per parent for its automorphisms (208 parents), and one
+    # per orbit of them on the neighbourhoods of a new maximum-degree vertex
+    import islide.iso
+    import islide.search
+
+    real = islide.iso._canonical
+    calls = 0
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return real(g)
+
+    monkeypatch.setattr(islide.iso, "_canonical", counted)
+    monkeypatch.setattr(islide.search, "_canonical", counted)
+    assert [len(level) for _, level in _class_levels(7, False)] == [1, 2, 4, 11, 34, 156, 1044]
+    assert calls <= 1847
+
+
+def test_scan_keys_exactly_what_a_scan_keying_every_class_finds():
+    # the scan labels only i-graphs with a target's degree sequence; the
+    # house is theta(1,2,3), and the class whose i-graph is C6 also has the
+    # degree sequence of 2K3, which no class on up to 6 vertices realizes
+    targets = [house_graph(), cycle_graph(5), cycle_graph(6),
+               disjoint_union(complete_graph(3), complete_graph(3)), path_graph(4),
+               star_graph(3), complete_graph(4), theta_graph(1, 2, 3), diamond_graph(),
+               theta_graph(2, 2, 2)]
+    expected = {i: [] for i in range(len(targets))}
+    for n, level in _class_levels(6, False):
+        for mask in level:
+            key = canonical_key(i_graph(Graph._from_mask(n, mask)).skeleton)
+            for i, t in enumerate(targets):
+                if canonical_key(t) == key:
+                    expected[i].append((n, mask))
+    assert expected[0] == expected[7] and expected[2] and not expected[3]
+    reports = scan_for_targets(targets, max_n=6)
+    for i, rep in enumerate(reports):
+        assert rep.graphs_examined == 208
+        assert [(w.n, w._edge_mask()) for w in rep.witnesses] == expected[i]
 
 
 def test_report_json():
