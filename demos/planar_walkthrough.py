@@ -2,17 +2,19 @@
 
 Builds the cube with an explicit planar layout, traces its faces, takes the
 dual (the octahedron), complements it into the seed 3K_2, and checks the
-resulting i-graph vertex by vertex.
+resulting i-graph vertex by vertex.  Exits 1 if the i-graph is not the cube.
 """
+import sys
+
 from islide import (
     Graph,
     i_graph,
     is_isomorphic,
     planar_dual,
+    planar_seed,
     rotation_from_layout,
     trace_faces,
 )
-from islide.seeds import planar_seed
 
 cube = Graph(
     8,
@@ -39,4 +41,6 @@ print(f"i-sets of the seed: {sg.node_count()} (one per octahedron face)")
 for idx, node in enumerate(sg.nodes):
     members = [v for v in range(seed.n) if node >> v & 1]
     print(f"  node {idx}: {members}")
-print("i-graph isomorphic to the cube:", is_isomorphic(sg.skeleton, cube))
+matches = is_isomorphic(sg.skeleton, cube)
+print("i-graph isomorphic to the cube:", matches)
+sys.exit(0 if matches else 1)

@@ -79,6 +79,7 @@ from .planar import (
     RotationSystem,
     parse_rotation_file,
     planar_dual,
+    planar_seed,
     rotation_from_layout,
     rotation_to_file,
     trace_faces,
@@ -93,7 +94,6 @@ from .seeds import (
     apply_deletion,
     build_theta_seed_complement,
     seed_graph_334,
-    planar_seed,
     theta_specs_up_to,
     verify_table,
     verify_theta_seed,

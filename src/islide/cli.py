@@ -10,20 +10,13 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    CapacityError,
-    FormatError,
-    GraphError,
-    InvalidParameterError,
-    InvalidThetaSpecError,
-    SetCountCapError,
-)
+from .errors import CapacityError, FormatError, GraphError, InvalidParameterError
 from .formats import from_edge_list, from_graph6, to_dot, to_edge_list, to_graph6
 from .graphs import Graph, bits, fan_graph, line_graph, path_graph, cycle_graph, theta_graph, wheel_graph
 from .independence import DEFAULT_SET_CAP, independence_report
 from .iso import contains_induced, is_isomorphic
 from .linegraphs import seed_from_line_graph
-from .planar import parse_rotation_file
+from .planar import parse_rotation_file, planar_seed
 from .reconfig import (
     SlideGraph,
     build_slide_graph,
@@ -32,7 +25,7 @@ from .reconfig import (
     slide_graph_to_json,
 )
 from .search import _SCAN_MAX_N, _class_levels, find_seed
-from .seeds import build_theta_seed_complement, check_seed, planar_seed
+from .seeds import build_theta_seed_complement, check_seed
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -275,10 +268,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (SetCountCapError, CapacityError) as exc:
+    except CapacityError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (FormatError, InvalidParameterError, InvalidThetaSpecError) as exc:
+    except (FormatError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GraphError as exc:

@@ -12,7 +12,9 @@ class InvalidParameterError(GraphError):
 class CapacityError(GraphError):
     """A size limit would be exceeded: the 64-vertex capacity of a graph
     built from a caller's size (``Graph(n, edges)``, a theta spec, a named
-    generator), or the 258047-vertex graph6 size form on output."""
+    generator), the 258047-vertex graph6 size form on output, or the cap on
+    maximal independent sets (``SetCountCapError``).  The CLI exits 3 on
+    this class and every subclass."""
 
 
 class FormatError(GraphError):
@@ -20,12 +22,13 @@ class FormatError(GraphError):
     file, slide-graph JSON)."""
 
 
-class SetCountCapError(GraphError):
+class SetCountCapError(CapacityError):
     """Enumeration aborted: more maximal independent sets than the cap allows."""
 
 
-class InvalidThetaSpecError(GraphError):
-    """A (j, k, l) triple does not describe a simple theta graph."""
+class InvalidThetaSpecError(InvalidParameterError):
+    """A (j, k, l) triple does not describe a simple theta graph; a usage
+    error like any other bad parameter."""
 
 
 class NotALineGraphError(GraphError):

@@ -1,10 +1,13 @@
-"""Rotation systems, face tracing, and duals of plane embeddings.
+"""Rotation systems, face tracing, duals of plane embeddings, and the
+planar seed built from a dual.
 
 A rotation system fixes the cyclic order of neighbors around each vertex.
 Faces are the orbits of the dart successor map: after arriving at v along
 (u, v), leave along the neighbor that follows u in the rotation at v.
 Rotation systems are inputs here; no embedding is ever computed from
-scratch.
+scratch.  ``planar_seed`` makes all five rejections of the planar-seed
+route: an input that is not connected, not cubic or not bipartite, a
+rotation that is not a sphere embedding, and a dual that is not simple.
 """
 from __future__ import annotations
 
@@ -14,6 +17,9 @@ from dataclasses import dataclass
 from .errors import (
     FormatError,
     NonSimpleDualError,
+    NotBipartiteError,
+    NotConnectedError,
+    NotCubicError,
     NotPlanarEmbeddingError,
     RotationError,
 )
@@ -84,37 +90,55 @@ def planar_dual(g: Graph, rot: RotationSystem) -> Graph:
     faces it borders.  A rotation whose face count breaks Euler's formula
     (not a sphere embedding of a connected g) is rejected first; duals with
     loops (a bridge) or parallel edges (a 2-edge cut) are rejected next so
-    the downstream complement constructions stay within simple graphs.
+    the downstream complement constructions stay within simple graphs.  A
+    sphere embedding with one face is a tree with an edge, and every edge
+    of it is a bridge.
     """
     faces = trace_faces(g, rot)
     if g.n - g.edge_count() + len(faces) != 2:
         raise NotPlanarEmbeddingError("rotation does not describe a sphere embedding")
-    if len(faces) < 2:
-        raise NonSimpleDualError("embedding has a single face; dual would be loops only")
     face_of: dict[tuple[int, int], int] = {}
     for fi, face in enumerate(faces):
         for dart in face:
             face_of[dart] = fi
-    seen_pairs: set[tuple[int, int]] = set()
-    edges = []
-    for u in range(g.n):
-        for v in g.neighbors(u):
-            if u > v:
-                continue
-            f1 = face_of[(u, v)]
-            f2 = face_of[(v, u)]
-            if f1 == f2:
-                raise NonSimpleDualError(
-                    f"edge ({u},{v}) borders one face on both sides (bridge)"
-                )
-            key = (min(f1, f2), max(f1, f2))
-            if key in seen_pairs:
-                raise NonSimpleDualError(
-                    f"faces {key} share more than one edge (parallel dual edges)"
-                )
-            seen_pairs.add(key)
-            edges.append(key)
-    return Graph(len(faces), edges)
+    pairs: set[tuple[int, int]] = set()
+    for u, v in g.edges():
+        f1 = face_of[(u, v)]
+        f2 = face_of[(v, u)]
+        if f1 == f2:
+            raise NonSimpleDualError(
+                f"edge ({u},{v}) borders one face on both sides (bridge)"
+            )
+        key = (min(f1, f2), max(f1, f2))
+        if key in pairs:
+            raise NonSimpleDualError(
+                f"faces {key} share more than one edge (parallel dual edges)"
+            )
+        pairs.add(key)
+    return Graph(len(faces), pairs)
+
+
+def planar_seed(g: Graph, rot: RotationSystem) -> Graph:
+    """Seed H = complement(dual) for a cubic 3-connected bipartite planar g.
+
+    Every face triple meeting at a vertex of g is a triangle of the dual and
+    a maximal clique there, so i(H) = alpha(H) = 3 and the i-graph of H
+    contains g as an induced subgraph.  The dual is K_4-free with every edge
+    on a facial triangle, so the i-sets of H are exactly the dual's
+    triangles: the g.n corner triples plus any non-facial extras, which
+    seeds.apply_deletion can remove.
+
+    Rejects, in this order, a g that is not connected, not cubic or not
+    bipartite, a rotation that is not a sphere embedding, and a dual that
+    is not simple.
+    """
+    if not g.is_connected():
+        raise NotConnectedError("planar seed needs a connected graph")
+    if any(g.degree(v) != 3 for v in range(g.n)):
+        raise NotCubicError("planar seed needs a cubic graph")
+    if not g.is_bipartite():
+        raise NotBipartiteError("planar seed needs a bipartite graph")
+    return planar_dual(g, rot).complement()
 
 
 # -- rotation file format ----------------------------------------------

@@ -16,7 +16,7 @@ from functools import cached_property
 from .errors import FormatError, GraphError, InvalidParameterError
 from .formats import to_dot
 from .graphs import Graph, bits, mask_of
-from .independence import DEFAULT_SET_CAP, independence_report
+from .independence import independence_report
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,12 @@ def build_slide_graph(g: Graph, family: list[int]) -> SlideGraph:
     return SlideGraph(g, tuple(nodes), Graph._from_rows(rows))
 
 
-def i_graph(g: Graph, cap: int = DEFAULT_SET_CAP) -> SlideGraph:
-    report = independence_report(g, cap=cap)
-    return build_slide_graph(g, list(report.i_sets))
+def i_graph(g: Graph) -> SlideGraph:
+    return build_slide_graph(g, list(independence_report(g).i_sets))
 
 
-def alpha_graph(g: Graph, cap: int = DEFAULT_SET_CAP) -> SlideGraph:
-    report = independence_report(g, cap=cap)
-    return build_slide_graph(g, list(report.alpha_sets))
+def alpha_graph(g: Graph) -> SlideGraph:
+    return build_slide_graph(g, list(independence_report(g).alpha_sets))
 
 
 # -- structural checks -------------------------------------------------

@@ -1,5 +1,7 @@
 """Complement-seed constructions for theta graphs, plus deletion of one
-i-set, planar seeds, and the verification harness.
+i-set and the verification harness.  Seeds from other routes live with
+the code that rejects their inputs: ``linegraphs.seed_from_line_graph``
+and ``planar.planar_seed``.
 
 Every builder returns the complement seed: a graph gbar whose triangles
 that are maximal cliques are the i-sets of G = complement(gbar), adjacent
@@ -34,19 +36,12 @@ import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .errors import (
-    DeletionPreconditionError,
-    InvalidParameterError,
-    NotBipartiteError,
-    NotConnectedError,
-    NotCubicError,
-)
+from .errors import DeletionPreconditionError, InvalidParameterError
 from .formats import to_graph6
 from .graphs import Graph, ThetaSpec, bits, mask_of, theta
 from .independence import independence_report
 from .iso import is_isomorphic
 from .linegraphs import line_graph_root
-from .planar import RotationSystem, planar_dual
 from .reconfig import build_slide_graph
 from .search import _SCAN_MAX_N, SearchReport, scan_for_targets
 
@@ -515,8 +510,7 @@ def verify_table(max_total: int, corroborate_max_n: int = 7, jobs: int = 1) -> T
             )
             if not ok:
                 failures.append(f"{spec}: expected a not-realizable verdict")
-            if spec.order <= 8:
-                exception_targets.append(theta(spec))
+            exception_targets.append(theta(spec))
             continue
         verification = verify_theta_seed(j, k, l)
         if verification.passed:
@@ -567,28 +561,3 @@ def apply_deletion(gbar: Graph, t: int) -> Graph:
     apex = 1 << gbar.n
     return Graph._from_rows([row | apex if t >> v & 1 else row
                              for v, row in enumerate(gbar.adj)] + [t])
-
-
-# -- planar seeds -------------------------------------------------------
-
-def planar_seed(g: Graph, rot: RotationSystem) -> Graph:
-    """Seed H = complement(dual) for a cubic 3-connected bipartite planar g.
-
-    Every face triple meeting at a vertex of g is a triangle of the dual and
-    a maximal clique there, so i(H) = alpha(H) = 3 and the i-graph of H
-    contains g as an induced subgraph.  The dual is K_4-free with every edge
-    on a facial triangle, so the i-sets of H are exactly the dual's
-    triangles: the g.n corner triples plus any non-facial extras, which
-    apply_deletion can remove.
-
-    Rejects, in this order, a g that is not connected, not cubic or not
-    bipartite; planar_dual then rejects a rotation that is not a sphere
-    embedding and a dual that is not simple.
-    """
-    if not g.is_connected():
-        raise NotConnectedError("planar seed needs a connected graph")
-    if any(g.degree(v) != 3 for v in range(g.n)):
-        raise NotCubicError("planar seed needs a cubic graph")
-    if not g.is_bipartite():
-        raise NotBipartiteError("planar seed needs a bipartite graph")
-    return planar_dual(g, rot).complement()

@@ -41,7 +41,7 @@ from islide import (
     wheel_graph,
 )
 from islide.search import _class_levels
-from islide.seeds import planar_seed
+from islide.planar import planar_seed
 
 from bruteforce import house_seed_graph, random_graph
 from test_planar import cube_with_rotation, hex_prism_with_rotation

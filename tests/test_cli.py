@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
+import islide.cli
 from islide import (
     cycle_graph,
     from_graph6,
     i_graph,
+    line_graph,
     path_graph,
     slide_graph_from_json,
     to_edge_list,
@@ -11,6 +14,7 @@ from islide import (
 )
 from islide.cli import main
 from islide.planar import rotation_to_file
+from islide.seeds import ClauseResult
 from bruteforce import brute_classes, house_seed_graph
 from test_planar import cube_on_torus, cube_with_rotation
 
@@ -318,3 +322,26 @@ def test_lemmas_line_max_above_scan_bound_is_usage_error(capsys):
     code, out, err = run(capsys, "lemmas", "--line-max", "9")
     assert code == 2 and out == ""
     assert "--line-max" in err
+
+
+def test_seed_verify_exits_1_when_a_clause_fails(monkeypatch, capsys):
+    real = islide.cli.check_seed
+
+    def tampered(result):
+        v = real(result)
+        return dataclasses.replace(v, passed=False,
+                                   clauses=v.clauses + (ClauseResult("i_value", False, "tampered"),))
+
+    monkeypatch.setattr(islide.cli, "check_seed", tampered)
+    code, out, _ = run(capsys, "seed", "5", "5", "5", "--verify")
+    assert code == 1
+    assert "FAIL i_value: tampered" in out
+
+
+def test_lemmas_exit_1_on_a_line_sweep_mismatch(monkeypatch, capsys):
+    # a wrong line graph for every root with two or more edges
+    monkeypatch.setattr(islide.cli, "line_graph", lambda f: line_graph(f).complement())
+    code, out, _ = run(capsys, "lemmas", "--wheel-max", "4", "--fan-max", "2", "--line-max", "4")
+    assert code == 1
+    assert "pass wheel rim 4" in out and "pass fan 2" in out
+    assert "FAIL line-graph sweep" in out

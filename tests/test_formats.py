@@ -49,6 +49,8 @@ def test_graph6_rejects():
         from_graph6("Bwx")  # trailing junk
     with pytest.raises(FormatError):
         from_graph6("Bx")  # non-zero padding bit
+    with pytest.raises(FormatError, match="invalid graph6 byte '>'"):
+        from_graph6("B>")  # a byte below '?'
     assert from_graph6(to_graph6(Graph(63))) == Graph(63)
     with pytest.raises(CapacityError):
         to_graph6(Graph._from_rows([0] * 258048))  # beyond the 4-byte size form

@@ -38,6 +38,9 @@ def test_graph_validation():
         Graph(3, [(0, 3)])
     with pytest.raises(CapacityError):
         Graph(65)
+    # a named generator checks its size before it builds the edge list
+    with pytest.raises(CapacityError, match="size 65 exceeds capacity 64"):
+        path_graph(65)
     for too_small in (lambda: wheel_graph(2), lambda: fan_graph(0)):
         with pytest.raises(InvalidParameterError):
             too_small()
@@ -106,6 +109,8 @@ def test_induced_rejects_masks_outside_graph():
     for mask in (0b1000, 0b1111, -1, -2):
         with pytest.raises(InvalidParameterError):
             g.induced(mask)
+    with pytest.raises(InvalidParameterError, match="at least one vertex"):
+        g.induced(0)
     sub, keep = g.induced(0b101)
     assert keep == [0, 2] and sub.edge_count() == 0
 
@@ -154,6 +159,8 @@ def test_classify_theta():
     rng = random.Random(11)
     g = theta_graph(3, 3, 4).relabel(random_permutation(rng, 9))
     assert classify_theta(g).as_tuple() == (3, 3, 4)
+    # a theta plus a separate cycle has the theta degree sequence but too many vertices
+    assert classify_theta(disjoint_union(theta_graph(2, 2, 3), cycle_graph(3))) is None
 
 
 def test_obstruction_t_shape():

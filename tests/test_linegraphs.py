@@ -118,6 +118,8 @@ def test_seed_rejects_diamond():
 def test_seed_rejects_disconnected():
     with pytest.raises(NotConnectedError):
         seed_from_line_graph(disjoint_union(complete_graph(2), complete_graph(2)))
+    with pytest.raises(NotConnectedError, match="root recovery needs a connected graph"):
+        line_graph_root(disjoint_union(complete_graph(2), complete_graph(2)))
 
 
 def test_complete_graph_is_its_own_seed():

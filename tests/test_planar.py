@@ -5,6 +5,7 @@ from islide import (
     Graph,
     NonSimpleDualError,
     NotBipartiteError,
+    NotConnectedError,
     NotCubicError,
     NotPlanarEmbeddingError,
     RotationSystem,
@@ -12,17 +13,19 @@ from islide import (
     complete_graph,
     cycle_graph,
     cartesian_product,
+    disjoint_union,
     is_isomorphic,
     i_graph,
     contains_induced,
     independence_report,
     parse_rotation_file,
+    path_graph,
     planar_dual,
     rotation_from_layout,
     rotation_to_file,
     trace_faces,
 )
-from islide.seeds import planar_seed
+from islide.planar import planar_seed
 
 
 def cube_with_rotation():
@@ -75,6 +78,12 @@ def test_rotation_validation():
     bad = RotationSystem(((1, 3), (0, 2), (1, 3), (0, 0)))
     with pytest.raises(RotationError):
         bad.validate(g)
+    with pytest.raises(RotationError, match="wrong number of vertices"):
+        trace_faces(g, RotationSystem(((1, 3), (0, 2), (1, 3))))
+    with pytest.raises(RotationError, match="rotation at 3 does not list its neighbors"):
+        trace_faces(g, RotationSystem(((1, 3), (0, 2), (1, 3), (0, 1))))
+    with pytest.raises(RotationError, match="one position per vertex"):
+        rotation_from_layout(g, [(0.0, 0.0)] * 3)
 
 
 def test_k4_is_self_dual():
@@ -106,6 +115,15 @@ def test_planar_dual_rejects_torus_rotation():
         planar_dual(*cube_on_torus())
 
 
+def test_one_face_sphere_embedding_is_rejected_as_a_bridge():
+    # P3 on the sphere: 3 - 2 + 1 = 2, and both edges border the one face twice
+    g = path_graph(3)
+    rot = RotationSystem(((1,), (0, 2), (1,)))
+    assert len(trace_faces(g, rot)) == 1
+    with pytest.raises(NonSimpleDualError, match=r"^edge \(0,1\) borders one face on both sides \(bridge\)$"):
+        planar_dual(g, rot)
+
+
 def test_rotation_file_takes_ascii_digits_only():
     # int() would read each edited token as the vertex it replaces
     g, rot = cube_with_rotation()
@@ -121,6 +139,19 @@ def test_rotation_file_rejects_a_vertex_listed_twice():
     g, rot = cube_with_rotation()
     with pytest.raises(FormatError, match="vertex 0 listed twice"):
         parse_rotation_file("0: 0-4 0-3 0-1\n" + rotation_to_file(g, rot), g)
+
+
+def test_rotation_file_rejections():
+    g, rot = cube_with_rotation()
+    text = rotation_to_file(g, rot)
+    for edited, message in [
+        (text.replace("0: ", "0 ", 1), "expected 'v: edge edge ...'"),
+        (text.replace("0: 0-1 ", "0: 1-0 ", 1), "must name the smaller endpoint first"),
+        (text.replace("0: 0-1 ", "0: 1-2 ", 1), "not incident to vertex 0"),
+        (text.rsplit("7:", 1)[0], "must cover every vertex exactly once"),
+    ]:
+        with pytest.raises(FormatError, match=message):
+            parse_rotation_file(edited, g)
 
 
 def test_rotation_file_roundtrip():
@@ -175,3 +206,6 @@ def test_planar_seed_rejections():
     assert len(trace_faces(g, rot)) == 4
     with pytest.raises(NotPlanarEmbeddingError):
         planar_seed(g, rot)
+    two = disjoint_union(complete_graph(2), complete_graph(2))
+    with pytest.raises(NotConnectedError, match="planar seed needs a connected graph"):
+        planar_seed(two, RotationSystem(((1,), (0,), (3,), (2,))))

@@ -72,6 +72,10 @@ def test_mixed_cardinalities_rejected():
     g = path_graph(4)
     with pytest.raises(InvalidParameterError):
         build_slide_graph(g, [mask_of([0]), mask_of([0, 2])])
+    with pytest.raises(InvalidParameterError, match="empty set family"):
+        build_slide_graph(g, [])
+    with pytest.raises(InvalidParameterError, match="outside the graph"):
+        build_slide_graph(g, [mask_of([0, 4])])
 
 
 def test_move_labels_are_slides():
@@ -128,6 +132,13 @@ def test_slide_along_non_edge_is_reported():
     base = Graph(sg.base.n, [e for e in sg.base.edges() if e != (min(x, y), max(x, y))])
     assert f"edge ({a},{b}) slides along a non-edge ({x},{y})" in structural_violations(
         dataclasses.replace(sg, base=base))
+
+
+def test_edge_between_sets_two_apart_is_reported():
+    # {0,1} and {2,3} differ in two vertices on each side, so no slide joins them
+    sg = build_slide_graph(path_graph(4), [mask_of([0, 1]), mask_of([2, 3])])
+    forged = dataclasses.replace(sg, skeleton=Graph(2, [(0, 1)]))
+    assert structural_violations(forged) == ["distance 1 below set difference 2 for nodes 0,1"]
 
 
 @st.composite

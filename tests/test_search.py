@@ -20,6 +20,7 @@ from islide import (
     scan_for_targets,
     star_graph,
     theta_graph,
+    to_graph6,
     verify_table,
     wheel_graph,
 )
@@ -238,6 +239,41 @@ def test_verify_table_rejects_jobs_before_work(monkeypatch):
     for bad in (0, -1):
         with pytest.raises(InvalidParameterError, match="jobs"):
             verify_table(26, corroborate_max_n=7, jobs=bad)
+
+
+def test_verify_table_reports_a_failed_seed(monkeypatch):
+    import dataclasses
+    import islide.seeds
+    from islide.seeds import ClauseResult
+
+    real = islide.seeds.verify_theta_seed
+
+    def tampered(j, k, l):
+        return dataclasses.replace(real(j, k, l), passed=False,
+                                   clauses=(ClauseResult("i_value", False, "tampered"),))
+
+    monkeypatch.setattr(islide.seeds, "verify_theta_seed", tampered)
+    report = verify_table(6, corroborate_max_n=0)
+    assert report.passed is False
+    outcomes = {e.spec: e.outcome for e in report.entries}
+    assert outcomes[(1, 2, 3)] == "failed"
+    assert outcomes[(1, 2, 2)] == "exception"
+    assert "theta(1,2,3): i_value: tampered" in report.failures
+
+
+def test_verify_table_reports_a_witness_as_fatal(monkeypatch):
+    import islide.seeds
+    from islide.search import SearchReport
+
+    def first_target_seeded(targets, max_n, jobs=1):
+        return [SearchReport(t, max_n, False, 0, (t,) if i == 0 else (), 0.0)
+                for i, t in enumerate(targets)]
+
+    monkeypatch.setattr(islide.seeds, "scan_for_targets", first_target_seeded)
+    report = verify_table(6, corroborate_max_n=4)
+    assert report.passed is False
+    assert report.failures == (
+        f"FATAL: witness found for claimed non-realizable target {to_graph6(theta_graph(1, 2, 2))}",)
 
 
 def test_search_bounds():

@@ -19,6 +19,7 @@ from islide import (
     bits,
     build_slide_graph,
     build_theta_seed_complement,
+    complete_graph,
     seed_graph_334,
     independence_report,
     is_isomorphic,
@@ -357,6 +358,9 @@ def test_apply_deletion_preconditions():
     with pytest.raises(DeletionPreconditionError):
         # the apexed triangle now sits inside a K_4
         apply_deletion(once, res.trace.expected_labels["X"])
+    # the complement of K_3 is edgeless, and its one i-set is all three vertices
+    with pytest.raises(DeletionPreconditionError, match="only i-set"):
+        apply_deletion(complete_graph(3), 0b111)
 
 
 def _check_deletion(g, idx):
