@@ -100,9 +100,7 @@ from .seeds import (
 )
 from .search import (
     SearchReport,
-    confirm_non_realizable,
     enumerate_labeled_graphs,
-    find_seed,
     scan_for_targets,
 )
 

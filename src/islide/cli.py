@@ -24,7 +24,7 @@ from .reconfig import (
     slide_graph_to_dot,
     slide_graph_to_json,
 )
-from .search import _SCAN_MAX_N, _class_levels, find_seed
+from .search import _SCAN_MAX_N, _class_levels, scan_for_targets
 from .seeds import build_theta_seed_complement, check_seed
 
 EXIT_OK = 0
@@ -171,8 +171,8 @@ def cmd_lemmas(args) -> int:
 
 def cmd_search(args) -> int:
     target = theta_graph(*args.theta) if args.theta else from_graph6(args.target)
-    report = find_seed(target, max_n=args.max_n, connected_only=args.connected,
-                       find_all=args.all or args.expect_none, jobs=args.jobs)
+    report = scan_for_targets([target], args.max_n, connected_only=args.connected,
+                              jobs=args.jobs, stop_at_first=not (args.all or args.expect_none))[0]
     print(report.to_json())
     if args.expect_none and report.found:
         print("FATAL: witness found for a target expected to have none", file=sys.stderr)

@@ -180,7 +180,10 @@ def parse_rotation_file(text: str, g: Graph) -> RotationSystem:
     if sorted(rings) != list(range(g.n)):
         raise FormatError("rotation file must cover every vertex exactly once")
     rot = RotationSystem(tuple(rings[v] for v in range(g.n)))
-    rot.validate(g)
+    try:
+        rot.validate(g)
+    except RotationError as exc:
+        raise FormatError(str(exc)) from exc
     return rot
 
 

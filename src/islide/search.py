@@ -21,13 +21,17 @@ batches of ``_CHUNK`` items for more, per parent to build a level and per
 class to test it.  Levels are sorted and ``imap`` keeps their order, so
 witnesses come out in (n, canonical edge mask) order, and an early stop
 ends after the same level whatever the number of jobs.
+
+``scan_for_targets`` is the one entry point.  A full scan corroborates, up
+to the bound, that each of its targets has no seed; ``stop_at_first`` turns
+it into a seed search.
 """
 from __future__ import annotations
 
 import json
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from multiprocessing import Pool
 
@@ -145,9 +149,11 @@ def scan_for_targets(
     """One pass over the isomorphism classes of graphs on up to max_n
     vertices, matched against every target at once.  Returns one report per
     target; each witness is a canonical graph, one per class, in (n,
-    canonical edge mask) order.  With stop_at_first the scan ends after the
-    first level at which every target has a witness (useful for find-style
-    queries); corroboration scans run to the end."""
+    canonical edge mask) order.  By default the scan runs to max_n and keeps
+    every witness: an empty report corroborates a non-realizability claim up
+    to the bound, and is never a proof.  With stop_at_first the scan ends
+    after the first level at which every target has a witness, and each
+    report keeps only its target's first witness."""
     if not 1 <= max_n <= _SCAN_MAX_N:
         raise InvalidParameterError(f"max_n={max_n} outside 1..{_SCAN_MAX_N}")
     if jobs < 1:
@@ -175,30 +181,8 @@ def scan_for_targets(
     reports = []
     for idx, t in enumerate(targets):
         witnesses = tuple(Graph._from_mask(n, mask) for n, mask, i in hits if i == idx)
+        if stop_at_first:
+            witnesses = witnesses[:1]
         reports.append(SearchReport(t, max_n, connected_only, examined, witnesses, elapsed))
     return reports
 
-
-def find_seed(
-    target: Graph,
-    max_n: int = 7,
-    connected_only: bool = False,
-    find_all: bool = False,
-    jobs: int = 1,
-) -> SearchReport:
-    """Scan for seeds whose i-graph is isomorphic to the target; the first
-    witness in (n, canonical mask) order is kept unless find_all asks for
-    every one."""
-    report = scan_for_targets([target], max_n, connected_only=connected_only,
-                              jobs=jobs, stop_at_first=not find_all)[0]
-    if not find_all:
-        report = replace(report, witnesses=report.witnesses[:1])
-    return report
-
-
-def confirm_non_realizable(target: Graph, max_n: int = 7, jobs: int = 1) -> SearchReport:
-    """Full scan expecting no witness.  An empty report corroborates the
-    claim up to the bound; it is never a proof.  A non-empty witness list for
-    a graph believed non-realizable means an implementation bug or a wrong
-    claim, and callers treat it as fatal."""
-    return scan_for_targets([target], max_n, jobs=jobs, stop_at_first=False)[0]

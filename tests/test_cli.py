@@ -4,6 +4,7 @@ import json
 import islide.cli
 from islide import (
     cycle_graph,
+    from_edge_list,
     from_graph6,
     i_graph,
     line_graph,
@@ -236,6 +237,19 @@ def test_dualseed_rejects_torus_rotation(tmp_path, capsys):
     assert "rejected: rotation does not describe a sphere embedding" in err
 
 
+def test_dualseed_rejects_a_bad_rotation_line_as_usage_error(tmp_path, capsys):
+    g, rot = cube_with_rotation()
+    gpath = tmp_path / "cube.edges"
+    rpath = tmp_path / "repeat.rot"
+    gpath.write_text(to_edge_list(g), encoding="utf-8")
+    rpath.write_text(rotation_to_file(g, rot).replace("0: 0-1 0-3 0-4", "0: 0-1 0-3 0-1", 1),
+                     encoding="utf-8")
+    code, out, err = run(capsys, "dualseed", "--input", str(gpath),
+                         "--rotation", str(rpath))
+    assert code == 2 and out == ""
+    assert "error: repeated neighbor in rotation at 0" in err
+
+
 def test_lemmas_small(capsys):
     code, out, _ = run(capsys, "lemmas", "--wheel-max", "6", "--fan-max", "6",
                        "--line-max", "5")
@@ -269,6 +283,16 @@ def test_seed_graph6_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "H|fJ@Cp"
     assert len(lines) == 2
+
+
+def test_seed_text_format_lists_a_seed_and_its_complement(capsys):
+    code, out, _ = run(capsys, "seed", "1", "2", "3", "--format", "text")
+    assert code == 0
+    head, _, rest = out.partition("complement seed gbar:\n")
+    gbar_text, _, g_text = rest.partition("seed G = complement(gbar):\n")
+    assert head == "" and g_text
+    gbar, g = from_edge_list(gbar_text), from_edge_list(g_text)
+    assert g.adj == gbar.complement().adj
 
 
 def test_seed_dot_format_carries_names(capsys):

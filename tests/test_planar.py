@@ -149,6 +149,8 @@ def test_rotation_file_rejections():
         (text.replace("0: 0-1 ", "0: 1-0 ", 1), "must name the smaller endpoint first"),
         (text.replace("0: 0-1 ", "0: 1-2 ", 1), "not incident to vertex 0"),
         (text.rsplit("7:", 1)[0], "must cover every vertex exactly once"),
+        (text.replace("0: 0-1 0-3 0-4", "0: 0-1 0-3 0-1", 1), "repeated neighbor in rotation at 0"),
+        (text.replace("0: 0-1 0-3 0-4", "0: 0-1 0-3", 1), "rotation at 0 does not list its neighbors"),
     ]:
         with pytest.raises(FormatError, match=message):
             parse_rotation_file(edited, g)
@@ -157,7 +159,7 @@ def test_rotation_file_rejections():
 def test_rotation_file_roundtrip():
     g, rot = cube_with_rotation()
     text = rotation_to_file(g, rot)
-    back = parse_rotation_file(text, g)
+    back = parse_rotation_file("# the cube\n\n" + text, g)
     assert back == rot
 
 

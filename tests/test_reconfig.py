@@ -285,8 +285,8 @@ def _house_seed_payload():
     return json.loads(slide_graph_to_json(i_graph(house_seed_graph())))
 
 
-def _rejected(payload):
-    with pytest.raises(FormatError):
+def _rejected(payload, match=None):
+    with pytest.raises(FormatError, match=match):
         slide_graph_from_json(payload if isinstance(payload, str) else json.dumps(payload))
 
 
@@ -298,6 +298,12 @@ def test_json_rejects_missing_key():
     payload = _house_seed_payload()
     del payload["nodes"]
     _rejected(payload)
+
+
+def test_json_rejects_nodes_that_are_not_a_list():
+    payload = _house_seed_payload()
+    payload["nodes"] = 5
+    _rejected(payload, match="nodes must be a list")
 
 
 def test_json_rejects_negative_vertex():

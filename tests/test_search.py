@@ -7,12 +7,11 @@ from islide import (
     InvalidParameterError,
     canonical_key,
     complete_graph,
-    confirm_non_realizable,
     cycle_graph,
     diamond_graph,
     disjoint_union,
     enumerate_labeled_graphs,
-    find_seed,
+    from_graph6,
     house_graph,
     i_graph,
     is_isomorphic,
@@ -50,13 +49,13 @@ def test_enumeration_bounds():
 
 
 def test_find_k1_seed():
-    rep = find_seed(complete_graph(1), max_n=2)
+    rep = scan_for_targets([complete_graph(1)], 2, stop_at_first=True)[0]
     assert rep.found
     assert rep.witnesses[0].n == 1
 
 
 def test_find_c4_seed_includes_wheel_complement():
-    rep = find_seed(cycle_graph(4), max_n=5, find_all=True)
+    rep = scan_for_targets([cycle_graph(4)], 5)[0]
     assert rep.found
     target_seed = wheel_graph(4).complement()
     assert any(is_isomorphic(w, target_seed) for w in rep.witnesses)
@@ -65,19 +64,19 @@ def test_find_c4_seed_includes_wheel_complement():
 
 
 def test_find_house_seed():
-    rep = find_seed(theta_graph(1, 2, 3), max_n=5)
+    rep = scan_for_targets([theta_graph(1, 2, 3)], 5, stop_at_first=True)[0]
     assert rep.found
     assert is_isomorphic(rep.witnesses[0], house_seed_graph())
 
 
 def test_sanity_inversion_k3():
-    rep = confirm_non_realizable(complete_graph(3), max_n=3)
+    rep = scan_for_targets([complete_graph(3)], 3)[0]
     assert rep.found
     assert is_isomorphic(rep.witnesses[0], complete_graph(3))
 
 
 def test_diamond_has_no_seed_up_to_six():
-    rep = confirm_non_realizable(diamond_graph(), max_n=6)
+    rep = scan_for_targets([diamond_graph()], 6)[0]
     assert not rep.found
     assert rep.graphs_examined == 1 + 2 + 4 + 11 + 34 + 156  # A000088, n = 1..6
 
@@ -99,7 +98,7 @@ def test_scan_matches_bruteforce_oracle():
             if brute_is_isomorphic(skel, t):
                 expected[t].append(g)
     for t in targets:
-        rep = find_seed(t, max_n=5, find_all=True)
+        rep = scan_for_targets([t], 5)[0]
         assert expected[t]
         assert len(rep.witnesses) == len(expected[t])
         for w in rep.witnesses:
@@ -125,15 +124,28 @@ def test_parallel_find_matches_serial():
     # find-style scans stop early; the pool must stop after the same chunk
     for target in (cycle_graph(4), theta_graph(1, 2, 3), cycle_graph(5)):
         for connected_only in (False, True):
-            serial = find_seed(target, max_n=6, connected_only=connected_only, jobs=1)
-            parallel = find_seed(target, max_n=6, connected_only=connected_only, jobs=2)
+            serial, parallel = (
+                scan_for_targets([target], 6, connected_only=connected_only, jobs=jobs,
+                                 stop_at_first=True)[0]
+                for jobs in (1, 2))
             assert serial.found
             assert parallel.graphs_examined == serial.graphs_examined
             assert [w.adj for w in parallel.witnesses] == [w.adj for w in serial.witnesses]
 
 
+def test_stop_at_first_keeps_each_target_first_witness():
+    # the bull has two seeds on 6 vertices; a find scans that whole level
+    # and keeps the first in (n, canonical mask) order
+    bull = from_graph6("DD[")
+    full = scan_for_targets([bull], 6)[0]
+    first = scan_for_targets([bull], 6, stop_at_first=True)[0]
+    assert [to_graph6(w) for w in full.witnesses] == ["EoSw", "EMlw"]
+    assert [to_graph6(w) for w in first.witnesses] == ["EoSw"]
+    assert first.graphs_examined == full.graphs_examined == 208
+
+
 def test_connected_only_filter():
-    rep = find_seed(cycle_graph(4), max_n=5, connected_only=True, find_all=True)
+    rep = scan_for_targets([cycle_graph(4)], 5, connected_only=True)[0]
     assert all(w.is_connected() for w in rep.witnesses)
     assert rep.graphs_examined == 1 + 1 + 2 + 6 + 21  # A001349, n = 1..5
 
@@ -197,7 +209,7 @@ def test_scan_keys_exactly_what_a_scan_keying_every_class_finds():
 
 
 def test_report_json():
-    rep = find_seed(complete_graph(1), max_n=2)
+    rep = scan_for_targets([complete_graph(1)], 2, stop_at_first=True)[0]
     payload = json.loads(rep.to_json())
     for key in ("target_graph6", "max_n", "graphs_examined", "witnesses_graph6",
                 "elapsed_seconds", "connected_only"):
@@ -224,6 +236,9 @@ def test_verify_table_rejects_scan_bound_before_work():
     for bad in (-1, 9):
         with pytest.raises(InvalidParameterError):
             verify_table(26, corroborate_max_n=bad)
+    for bad in (2, 27):
+        with pytest.raises(InvalidParameterError, match="max_total must lie in 3..26"):
+            verify_table(bad)
     report = verify_table(5, corroborate_max_n=0)
     assert report.passed and report.corroboration == ()
 
@@ -280,16 +295,16 @@ def test_search_bounds():
     from islide import path_graph
 
     with pytest.raises(InvalidParameterError):
-        find_seed(cycle_graph(4), max_n=9)
+        scan_for_targets([cycle_graph(4)], 9)
     with pytest.raises(InvalidParameterError):
-        find_seed(path_graph(31), max_n=4)
+        scan_for_targets([path_graph(31)], 4)
 
 
 def test_scan_needs_at_least_one_job():
     with pytest.raises(InvalidParameterError):
         scan_for_targets([cycle_graph(4)], 3, jobs=0)
     with pytest.raises(InvalidParameterError):
-        find_seed(cycle_graph(4), max_n=3, jobs=-1)
+        scan_for_targets([cycle_graph(4)], 3, jobs=-1)
 
 
 def test_obstruction_minimality():
