@@ -24,6 +24,14 @@ whose color just changed.
 Highly symmetric graphs stay cheap (Q5 and 4·C4 take milliseconds), since
 the leaves visited grow with the automorphisms found, not with the order of
 the automorphism group; the worst case is still exponential.
+
+``is_isomorphic`` labels neither graph.  It walks g's tree along its first
+path only and then searches h's tree, with the same refinement,
+individualization and orbit pruning, for a leaf equal to g's; a node whose
+cells differ from those of g's node at the same depth is pruned.  The walk
+is isomorphism-invariant, so an isomorphism carries g's path onto a path of
+h that passes every comparison, and the answer is exact.  Its worst case is
+h's full pruned walk plus one path of g.
 """
 from __future__ import annotations
 
@@ -88,6 +96,20 @@ def _canonical(g: Graph) -> tuple[int, list[int], list[list[int]]]:
     search found from equal leaves, which generate the automorphism group,
     or for an empty or complete graph an n-cycle and a transposition.
     """
+    return _walk(g)
+
+
+def _walk(g: Graph, trail: list | None = None) -> tuple[int, list[int], list[list[int]]]:
+    """Search g's individualization tree: ``_canonical`` without ``trail``.
+
+    With ``trail``, the shape of a node at depth d (the cell ends of an
+    inner node, the edge mask of a leaf) must equal ``trail[d]``, else its
+    subtree is pruned, and a node one deeper than the trail extends it.  The
+    search stops at the first leaf that passes and returns its key and
+    relabeling; an empty trail thus records the first path.  Leaves that
+    fail still give automorphisms, which prune as without a trail.  An
+    empty or complete g is answered without a walk, leaving the trail as is.
+    """
     n = g.n
     adj = g.adj
     m2 = sum(row.bit_count() for row in adj)
@@ -117,6 +139,9 @@ def _canonical(g: Graph) -> tuple[int, list[int], list[list[int]]]:
         if s == n:
             # a discrete coloring is a relabeling: color[v] is v's new index
             key = g.relabel(color)._edge_mask()
+            if trail is not None and _follows(trail, depth, key):
+                best = (key, color, path)
+                return -1
             if first is None:
                 first = best = (key, color, path)
                 return depth - 1
@@ -137,6 +162,8 @@ def _canonical(g: Graph) -> tuple[int, list[int], list[list[int]]]:
                     return d
             if key < best[0]:
                 best = (key, color, path)
+            return depth - 1
+        if trail is not None and not _follows(trail, depth, tuple(cend)):
             return depth - 1
         e = cend[s]
         cell = [v for v in range(n) if color[v] == s]
@@ -175,7 +202,19 @@ def _canonical(g: Graph) -> tuple[int, list[int], list[list[int]]]:
     cend[0] = n
     # every vertex counts as moved at the root: isolated ones (empty tuple) stay first
     descend([], 0, [0] * n, cend, list(range(n)))
+    if best is None:
+        # the root already differs from the trail
+        return -1, [], []
     return best[0], best[1], [gamma for gamma, _ in gens]
+
+
+def _follows(trail: list, depth: int, shape) -> bool:
+    """True when ``shape`` is ``trail[depth]``, or one past its end, where it
+    is appended."""
+    if depth == len(trail):
+        trail.append(shape)
+        return True
+    return trail[depth] == shape
 
 
 def _find(root: dict[int, int], v: int) -> int:
@@ -203,11 +242,27 @@ def canonical_key(g: Graph) -> tuple[int, int]:
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
+    """True iff g and h are isomorphic.
+
+    After the order, size and degree-sequence prefilters, the walk records
+    the cell ends of each node on g's first path and the edge mask of its
+    leaf, then searches h's tree for a leaf with that mask, pruning every
+    node whose cell ends differ from those at its depth on g's path.  The
+    walk is isomorphism-invariant: an isomorphism maps g's tree onto h's
+    node for node, so the image of g's path passes every comparison and
+    ends at an equal leaf, and each subtree that orbit pruning skips is an
+    automorphic image of one searched before.  So the answer is exact, and
+    a leaf equal to g's is itself an isomorphism.  The worst case is h's
+    full pruned walk plus one path of g, against two full walks for two
+    canonical labellings.
+    """
     if g.n != h.n or g.edge_count() != h.edge_count():
         return False
     if g.degree_sequence() != h.degree_sequence():
         return False
-    return canonical_key(g) == canonical_key(h)
+    trail: list = []
+    key = _walk(g, trail)[0]
+    return _walk(h, trail)[0] == key
 
 
 def contains_induced(g: Graph, h: Graph) -> bool:

@@ -21,6 +21,7 @@ from islide import (
     theta_graph,
     wheel_graph,
 )
+from islide.search import _class_levels
 
 from bruteforce import (
     brute_contains_induced,
@@ -79,7 +80,9 @@ def test_symmetric_graphs_match_their_relabelings():
         assert time.perf_counter() - start < 2.0
         h = g.relabel(random_permutation(rng, g.n))
         assert canonical_key(h) == key
+        start = time.perf_counter()
         assert is_isomorphic(g, h)
+        assert time.perf_counter() - start < 2.0
         canon, perm = canonical_form(h)
         assert canon == h.relabel(perm) == Graph._from_mask(*key)
 
@@ -90,6 +93,23 @@ def test_rook_graph_is_not_shrikhande():
     assert rook.degree_sequence() == shrikhande.degree_sequence()
     assert is_isomorphic(rook, shrikhande) is False
     assert is_isomorphic(shrikhande, shrikhande.relabel(random_permutation(random.Random(6), 16)))
+
+
+def test_is_isomorphic_separates_the_classes_on_7_vertices():
+    # classes that share a degree sequence pass every prefilter: each is
+    # matched against a relabelling of every class of its group, itself included
+    rng = random.Random(7)
+    groups = {}
+    for mask in dict(_class_levels(7, False))[7]:
+        g = Graph._from_mask(7, mask)
+        groups.setdefault(g.degree_sequence(), []).append(g)
+    pairs = 0
+    for group in groups.values():
+        for a in group:
+            for b in group:
+                assert is_isomorphic(a, b.relabel(random_permutation(rng, 7))) is (a is b)
+                pairs += 1
+    assert pairs == 7608
 
 
 def test_iso_positive_examples():

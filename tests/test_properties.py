@@ -16,6 +16,7 @@ from islide import (
     disjoint_union,
     from_graph6,
     independence_report,
+    is_isomorphic,
     krausz_partition,
     line_graph,
     line_graph_root,
@@ -162,6 +163,21 @@ def test_canonical_key_agrees_with_bruteforce(g, rng, move_edge):
         edges.append(rng.choice(gaps))
     h = Graph(g.n, edges)
     assert (canonical_key(g) == canonical_key(h)) == brute_is_isomorphic(g, h)
+
+
+@settings(deadline=None)
+@given(graphs(8), st.randoms(), st.booleans())
+def test_is_isomorphic_agrees_with_bruteforce(g, rng, move_edge):
+    # h is g relabelled, with one edge moved half the time: the degree
+    # sequences often still agree, so the prefilters pass and the walk runs
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    h = permuted(g, perm)
+    edges, gaps = h.edges(), h.complement().edges()
+    if move_edge and edges and gaps:
+        edges.remove(rng.choice(edges))
+        h = Graph(g.n, edges + [rng.choice(gaps)])
+    assert is_isomorphic(g, h) == brute_is_isomorphic(g, h)
 
 
 @settings(deadline=None)

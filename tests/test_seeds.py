@@ -251,38 +251,37 @@ def test_check_seed_matches_reference_on_tampered_results():
     assert all(failed.values()), failed
 
 
-@pytest.mark.parametrize("jkl,most", [((3, 3, 6), 2), ((2, 2, 5), 3)])
-def test_check_seed_labels_each_graph_once(monkeypatch, jkl, most):
+def _count_walk(monkeypatch):
+    """Count ``iso._canonical`` calls (labellings) and ``iso._refine`` calls,
+    one per node of an individualization tree the search walks."""
+    counts = {"labellings": 0, "nodes": 0}
+    for name, kind in (("_canonical", "labellings"), ("_refine", "nodes")):
+        def counted(*args, real=getattr(islide.iso, name), kind=kind):
+            counts[kind] += 1
+            return real(*args)
+
+        monkeypatch.setattr(islide.iso, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("jkl,nodes", [((3, 3, 6), 6), ((2, 2, 5), 6)])
+def test_check_seed_decides_isomorphism_without_labelling(monkeypatch, jkl, nodes):
     # (3,3,6) is well covered, so its alpha-graph is its i-graph; (2,2,5)
-    # has alpha 4 and builds a separate alpha-graph
-    calls = []
-    real = islide.iso._canonical
-
-    def counted(g):
-        calls.append(g.n)
-        return real(g)
-
-    monkeypatch.setattr(islide.iso, "_canonical", counted)
+    # has alpha 4 and builds a separate alpha-graph, which differs from the
+    # target in order and is never walked
+    counts = _count_walk(monkeypatch)
     assert verify_theta_seed(*jkl).passed
-    assert 1 <= len(calls) <= most
+    assert counts == {"labellings": 0, "nodes": nodes}
 
 
-def test_catalog_labels_each_realizable_spec_twice(monkeypatch):
-    # the i-graph and the target once each; the alpha-graph of an alpha-4
-    # seed differs from the target in order, so it is never labelled
-    calls = []
-    real = islide.iso._canonical
-
-    def counted(g):
-        calls.append(g.n)
-        return real(g)
-
-    monkeypatch.setattr(islide.iso, "_canonical", counted)
+def test_catalog_decides_isomorphism_without_labelling(monkeypatch):
+    # one path of the i-graph's tree and a matching walk of the target's;
+    # two canonical labellings per realizable spec walked 4,022 nodes
+    counts = _count_walk(monkeypatch)
     report = verify_table(26, corroborate_max_n=0)
     assert report.passed
-    realizable = sum(e.outcome == "verified" for e in report.entries)
-    assert realizable == 543
-    assert len(calls) <= 2 * realizable == 1086
+    assert sum(e.outcome == "verified" for e in report.entries) == 543
+    assert counts == {"labellings": 0, "nodes": 2404}
 
 
 def test_verify_rejects_exceptions():
