@@ -43,7 +43,7 @@ def _read_text(path: str) -> str:
 
 
 def _read_graph(args) -> Graph:
-    if getattr(args, "g6", None):
+    if getattr(args, "g6", None) is not None:
         return from_graph6(args.g6)
     return from_edge_list(_read_text(args.input))
 
@@ -201,7 +201,7 @@ def cmd_dualseed(args) -> int:
     contains = contains_induced(sg.skeleton, g)
     print(f"seed graph6: {to_graph6(seed)}")
     print(f"i={rep.i} alpha={rep.alpha} i-sets={len(rep.i_sets)}")
-    exact = sg.node_count() == g.n and is_isomorphic(sg.skeleton, g)
+    exact = is_isomorphic(sg.skeleton, g)
     print(f"{'pass' if contains else 'FAIL'} i-graph contains the input as an induced subgraph")
     if exact:
         print("pass i-graph is exactly the input")

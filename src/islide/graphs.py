@@ -93,6 +93,10 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # the default restore sets the slots through __setattr__, which raises
+        return Graph._from_rows, (self.adj,)
+
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 

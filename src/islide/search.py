@@ -13,14 +13,14 @@ the neighbourhoods are split into orbits under the automorphisms that
 labelling the parent yields, and one per orbit is labelled.  The connected
 classes are the connected members of each level, since deleting a
 maximum-degree vertex can disconnect a graph.  Each class is tested once:
-the library's own ``i_graph`` builds its i-graph, and when the skeleton's
-degree sequence is some target's (a necessary condition for isomorphism),
-one canonical key of it is looked up among the targets' keys.  Both stages
-run through the builtin ``map`` for one job or a process pool's ``imap`` in
-batches of ``_CHUNK`` items for more, per parent to build a level and per
-class to test it.  Levels are sorted and ``imap`` keeps their order, so
-witnesses come out in (n, canonical edge mask) order, and an early stop
-ends after the same level whatever the number of jobs.
+the library's own ``i_graph`` builds its i-graph, and ``is_isomorphic``
+matches the skeleton against each target, so canonical labelling only
+builds the levels.  Both stages run through the builtin ``map`` for one job
+or a process pool's ``imap`` in batches of ``_CHUNK`` items for more, per
+parent to build a level and per class to test it.  Levels are sorted and
+``imap`` keeps their order, so witnesses come out in (n, canonical edge
+mask) order, and an early stop ends after the same level whatever the
+number of jobs.
 
 ``scan_for_targets`` is the one entry point.  A full scan corroborates, up
 to the bound, that each of its targets has no seed; ``stop_at_first`` turns
@@ -38,7 +38,7 @@ from multiprocessing import Pool
 from .errors import InvalidParameterError
 from .formats import to_graph6
 from .graphs import Graph, bits, mask_of
-from .iso import _canonical, canonical_key
+from .iso import _canonical, canonical_key, is_isomorphic
 from .reconfig import i_graph
 
 _SCAN_MAX_N = 8
@@ -128,15 +128,12 @@ def _class_levels(max_n: int, connected_only: bool, run=map):
                   if connected_only else level)
 
 
-def _i_graph_key(degrees: frozenset[tuple[int, ...]], args) -> tuple[int, int] | None:
-    """Canonical key of the i-graph skeleton of the graph with edge mask
-    ``mask`` on n vertices, or None when the skeleton's degree sequence is
-    not in ``degrees`` (it then matches no target)."""
+def _matches(targets: list[Graph], args) -> list[int]:
+    """Indices of the targets isomorphic to the i-graph skeleton of the
+    graph with edge mask ``mask`` on n vertices."""
     n, mask = args
     skeleton = i_graph(Graph._from_mask(n, mask)).skeleton
-    if skeleton.degree_sequence() not in degrees:
-        return None
-    return canonical_key(skeleton)
+    return [idx for idx, t in enumerate(targets) if is_isomorphic(skeleton, t)]
 
 
 def scan_for_targets(
@@ -147,11 +144,12 @@ def scan_for_targets(
     stop_at_first: bool = False,
 ) -> list[SearchReport]:
     """One pass over the isomorphism classes of graphs on up to max_n
-    vertices, matched against every target at once.  Returns one report per
-    target; each witness is a canonical graph, one per class, in (n,
-    canonical edge mask) order.  By default the scan runs to max_n and keeps
-    every witness: an empty report corroborates a non-realizability claim up
-    to the bound, and is never a proof.  With stop_at_first the scan ends
+    vertices, matched against every target at once: ``is_isomorphic``
+    compares each class's i-graph skeleton with each target.  Returns one
+    report per target; each witness is a canonical graph, one per class, in
+    (n, canonical edge mask) order.  By default the scan runs to max_n and
+    keeps every witness: an empty report corroborates a non-realizability
+    claim up to the bound, and is never a proof.  With stop_at_first the scan ends
     after the first level at which every target has a witness, and each
     report keeps only its target's first witness."""
     if not 1 <= max_n <= _SCAN_MAX_N:
@@ -162,27 +160,20 @@ def scan_for_targets(
         if t.n > 30:
             raise InvalidParameterError("target order above 30 is out of scope")
     t0 = time.perf_counter()
-    wanted: dict[tuple[int, int], list[int]] = {}
-    for idx, t in enumerate(targets):
-        wanted.setdefault(canonical_key(t), []).append(idx)
-    key_of = partial(_i_graph_key, frozenset(t.degree_sequence() for t in targets))
+    match = partial(_matches, targets)
     examined = 0
-    hits: list[tuple[int, int, int]] = []
+    found: list[list[Graph]] = [[] for _ in targets]
     with Pool(jobs) if jobs > 1 else nullcontext() as pool:
         run = partial(pool.imap, chunksize=_CHUNK) if jobs > 1 else map
         for n, level in _class_levels(max_n, connected_only, run):
-            keys = run(key_of, ((n, mask) for mask in level))
-            for mask, key in zip(level, keys):
-                hits.extend((n, mask, idx) for idx in wanted.get(key, ()))
+            for mask, hits in zip(level, run(match, ((n, m) for m in level))):
+                for idx in hits:
+                    found[idx].append(Graph._from_mask(n, mask))
             examined += len(level)
-            if stop_at_first and len({idx for _, _, idx in hits}) == len(targets):
+            if stop_at_first and all(found):
                 break
     elapsed = time.perf_counter() - t0
-    reports = []
-    for idx, t in enumerate(targets):
-        witnesses = tuple(Graph._from_mask(n, mask) for n, mask, i in hits if i == idx)
-        if stop_at_first:
-            witnesses = witnesses[:1]
-        reports.append(SearchReport(t, max_n, connected_only, examined, witnesses, elapsed))
-    return reports
+    return [SearchReport(t, max_n, connected_only, examined,
+                         tuple(w[:1] if stop_at_first else w), elapsed)
+            for t, w in zip(targets, found)]
 

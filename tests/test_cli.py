@@ -64,6 +64,13 @@ def test_compute_bad_input(capsys):
     assert "error" in err
 
 
+def test_empty_g6_is_usage_error(capsys):
+    for command in ("compute", "lineseed"):
+        code, out, err = run(capsys, command, "--g6", "")
+        assert code == 2 and out == ""
+        assert "empty graph6 string" in err
+
+
 def test_compute_alpha_flag(capsys):
     code, out, _ = run(capsys, "compute", "--g6", to_graph6(cycle_graph(5)), "--alpha")
     assert code == 0

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from islide import (
@@ -14,6 +17,7 @@ from islide import (
     disjoint_union,
     fan_graph,
     house_graph,
+    i_graph,
     is_isomorphic,
     kappa_graph,
     line_graph,
@@ -179,6 +183,21 @@ def test_union_and_product():
     # derived graphs are not held to the 64-vertex input capacity
     assert disjoint_union(path_graph(40), path_graph(40)).edge_count() == 78
     assert line_graph(complete_graph(12)).degree_sequence() == (20,) * 66
+
+
+def test_graphs_pickle_and_copy():
+    # a process pool ships graphs to its workers by pickling them; the
+    # 243-node skeleton of 5 K3 is above the 64-vertex input capacity, and
+    # the slide graph's edges have already been labelled
+    g = complete_graph(3)
+    for _ in range(4):
+        g = disjoint_union(g, complete_graph(3))
+    sg = i_graph(g)
+    assert sg.skeleton.n == 243 and len(sg.edges) == 243 * 10 // 2
+    for x in (sg.skeleton, sg):
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert y == x and y is not x
+    assert copy.deepcopy(sg).edges == sg.edges
 
 
 def test_connectivity_and_bipartite():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from islide import (
+    THETA_EXCEPTIONS,
     Graph,
     InvalidParameterError,
     canonical_key,
@@ -15,6 +16,7 @@ from islide import (
     house_graph,
     i_graph,
     is_isomorphic,
+    obstruction_t_graph,
     path_graph,
     scan_for_targets,
     star_graph,
@@ -32,6 +34,13 @@ from bruteforce import (
     brute_slide_rows,
     house_seed_graph,
 )
+
+# two are the same class (the house is theta(1,2,3)), and C6 and 2K3 share
+# a degree sequence
+TEN_TARGETS = [house_graph(), cycle_graph(5), cycle_graph(6),
+               disjoint_union(complete_graph(3), complete_graph(3)), path_graph(4),
+               star_graph(3), complete_graph(4), theta_graph(1, 2, 3), diamond_graph(),
+               theta_graph(2, 2, 2)]
 
 
 def test_enumeration_counts():
@@ -112,9 +121,10 @@ def test_scan_matches_bruteforce_oracle():
 
 
 def test_parallel_scan_matches_serial():
-    targets = [cycle_graph(4), diamond_graph()]
-    serial = scan_for_targets(targets, max_n=5, jobs=1)
-    parallel = scan_for_targets(targets, max_n=5, jobs=2)
+    # the pool ships all ten targets to its workers
+    serial = scan_for_targets(TEN_TARGETS, max_n=5, jobs=1)
+    parallel = scan_for_targets(TEN_TARGETS, max_n=5, jobs=2)
+    assert serial[0].found and serial[0].witnesses == serial[7].witnesses
     for a, b in zip(serial, parallel):
         assert a.graphs_examined == b.graphs_examined
         assert [w.adj for w in a.witnesses] == [w.adj for w in b.witnesses]
@@ -166,34 +176,50 @@ def test_class_levels_match_oeis_through_8():
             assert all(canonical_key(Graph._from_mask(n, m)) == (n, m) for m in level)
 
 
-def test_class_levels_label_one_extension_per_orbit(monkeypatch):
-    # one labelling per parent for its automorphisms (208 parents), and one
-    # per orbit of them on the neighbourhoods of a new maximum-degree vertex
+@pytest.fixture
+def labellings(monkeypatch):
+    """A one-item list counting the canonical labellings (``_canonical``
+    calls) made from here on."""
     import islide.iso
     import islide.search
 
     real = islide.iso._canonical
-    calls = 0
+    calls = [0]
 
     def counted(g):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return real(g)
 
     monkeypatch.setattr(islide.iso, "_canonical", counted)
     monkeypatch.setattr(islide.search, "_canonical", counted)
+    return calls
+
+
+def test_class_levels_label_one_extension_per_orbit(labellings):
+    # one labelling per parent for its automorphisms (208 parents), and one
+    # per orbit of them on the neighbourhoods of a new maximum-degree vertex
     assert [len(level) for _, level in _class_levels(7, False)] == [1, 2, 4, 11, 34, 156, 1044]
-    assert calls <= 1847
+    assert labellings[0] <= 1847
+
+
+def test_scan_labels_only_for_the_class_walk(labellings):
+    # is_isomorphic decides every match without labelling, so a scan of
+    # the ten corroborate targets labels exactly what building its levels does
+    targets = ([theta_graph(*spec) for spec in sorted(THETA_EXCEPTIONS)]
+               + [obstruction_t_graph(), house_graph(), cycle_graph(5)])
+    assert len(targets) == 10
+    scan_for_targets(targets, max_n=6)
+    scanned, labellings[0] = labellings[0], 0
+    list(_class_levels(6, False))
+    assert scanned == labellings[0] == 290
 
 
 def test_scan_keys_exactly_what_a_scan_keying_every_class_finds():
-    # the scan labels only i-graphs with a target's degree sequence; the
-    # house is theta(1,2,3), and the class whose i-graph is C6 also has the
-    # degree sequence of 2K3, which no class on up to 6 vertices realizes
-    targets = [house_graph(), cycle_graph(5), cycle_graph(6),
-               disjoint_union(complete_graph(3), complete_graph(3)), path_graph(4),
-               star_graph(3), complete_graph(4), theta_graph(1, 2, 3), diamond_graph(),
-               theta_graph(2, 2, 2)]
+    # an independent reference for the scan's matches: key every class's
+    # i-graph and every target with canonical_key and compare the keys; the
+    # class whose i-graph is C6 also has the degree sequence of 2K3, which no
+    # class on up to 6 vertices realizes
+    targets = TEN_TARGETS
     expected = {i: [] for i in range(len(targets))}
     for n, level in _class_levels(6, False):
         for mask in level:
@@ -312,7 +338,7 @@ def test_obstruction_minimality():
     # and at least one induced theta exists
     import itertools
 
-    from islide import THETA_EXCEPTIONS, classify_theta, mask_of, obstruction_t_graph
+    from islide import classify_theta, mask_of
 
     t = obstruction_t_graph()
     induced_thetas = []
