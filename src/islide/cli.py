@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 domain verdict (not realizable, witness found under
 --expect-none, lemma failure, seed rejection), 2 usage or parse error,
-3 resource cap exceeded (set count, graph6 output size, theta order).
+3 resource cap exceeded (set count, graph6 output size, theta order, lemmas
+wheel or fan size).
 """
 from __future__ import annotations
 
@@ -131,23 +132,19 @@ def cmd_lemmas(args) -> int:
             raise InvalidParameterError(f"{flag}={value} must be at least {least}")
     if args.line_max > _SCAN_MAX_N:
         raise InvalidParameterError(f"--line-max={args.line_max} must be at most {_SCAN_MAX_N}")
+    # every seed is built before any verdict prints, so a size above capacity prints nothing
+    checks = [(f"wheel rim {k}", wheel_graph(k).complement(), f"C_{k}", cycle_graph(k))
+              for k in range(4, args.wheel_max + 1)]
+    checks += [(f"fan {k}", fan_graph(k).complement(), f"P_{k - 1}", path_graph(k - 1))
+               for k in range(2, args.fan_max + 1)]
     failures = 0
-    families = (
-        ("wheel rim", wheel_graph, lambda k: (f"C_{k}", cycle_graph(k)),
-         range(4, args.wheel_max + 1)),
-        ("fan", fan_graph, lambda k: (f"P_{k - 1}", path_graph(k - 1)),
-         range(2, args.fan_max + 1)),
-    )
-    for name, seed, target, sizes in families:
-        for k in sizes:
-            g = seed(k).complement()
-            shape, want = target(k)
-            # well covered: the alpha-sets are the i-sets, so the alpha-graph is the i-graph
-            rep = independence_report(g)
-            sg = build_slide_graph(g, list(rep.i_sets))
-            ok = rep.well_covered and is_isomorphic(sg.skeleton, want)
-            failures += not ok
-            print(f"{'pass' if ok else 'FAIL'} {name} {k}: i-graph and alpha-graph ~ {shape}")
+    for label, g, shape, want in checks:
+        # well covered: the alpha-sets are the i-sets, so the alpha-graph is the i-graph
+        rep = independence_report(g)
+        sg = build_slide_graph(g, list(rep.i_sets))
+        ok = rep.well_covered and is_isomorphic(sg.skeleton, want)
+        failures += not ok
+        print(f"{'pass' if ok else 'FAIL'} {label}: i-graph and alpha-graph ~ {shape}")
     checked = 0
     bad = 0
     # the check is invariant under relabeling, so one graph per class will do
@@ -180,14 +177,18 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+def _print_seed_summary(seed: Graph) -> Graph:
+    """Print the seed's graph6 and i-set counts; return its i-graph skeleton."""
+    rep = independence_report(seed)
+    skeleton = build_slide_graph(seed, list(rep.i_sets)).skeleton
+    print(f"seed graph6: {to_graph6(seed)}")
+    print(f"i={rep.i} alpha={rep.alpha} i-sets={len(rep.i_sets)}")
+    return skeleton
+
+
 def cmd_lineseed(args) -> int:
     h = _read_graph(args)
-    g = seed_from_line_graph(h)
-    rep = independence_report(g)
-    sg = build_slide_graph(g, list(rep.i_sets))
-    ok = is_isomorphic(sg.skeleton, h)
-    print(f"seed graph6: {to_graph6(g)}")
-    print(f"i={rep.i} alpha={rep.alpha} i-sets={len(rep.i_sets)}")
+    ok = is_isomorphic(_print_seed_summary(seed_from_line_graph(h)), h)
     print(f"{'pass' if ok else 'FAIL'} i-graph matches the input")
     return EXIT_OK if ok else EXIT_VERDICT
 
@@ -195,15 +196,10 @@ def cmd_lineseed(args) -> int:
 def cmd_dualseed(args) -> int:
     g = _read_graph(args)
     rot = parse_rotation_file(_read_text(args.rotation), g)
-    seed = planar_seed(g, rot)
-    rep = independence_report(seed)
-    sg = build_slide_graph(seed, list(rep.i_sets))
-    contains = contains_induced(sg.skeleton, g)
-    print(f"seed graph6: {to_graph6(seed)}")
-    print(f"i={rep.i} alpha={rep.alpha} i-sets={len(rep.i_sets)}")
-    exact = is_isomorphic(sg.skeleton, g)
+    skeleton = _print_seed_summary(planar_seed(g, rot))
+    contains = contains_induced(skeleton, g)
     print(f"{'pass' if contains else 'FAIL'} i-graph contains the input as an induced subgraph")
-    if exact:
+    if is_isomorphic(skeleton, g):
         print("pass i-graph is exactly the input")
     return EXIT_OK if contains else EXIT_VERDICT
 

@@ -45,6 +45,8 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        if type(n) is not int:
+            raise InvalidParameterError(f"vertex count {n!r} is not an int")
         if not 1 <= n <= MAX_VERTICES:
             raise CapacityError(f"vertex count {n} outside 1..{MAX_VERTICES}")
         rows = [0] * n

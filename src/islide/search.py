@@ -29,6 +29,7 @@ it into a seed search.
 from __future__ import annotations
 
 import json
+import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -151,7 +152,9 @@ def scan_for_targets(
     keeps every witness: an empty report corroborates a non-realizability
     claim up to the bound, and is never a proof.  With stop_at_first the scan ends
     after the first level at which every target has a witness, and each
-    report keeps only its target's first witness."""
+    report keeps only its target's first witness.  The output does not
+    depend on ``jobs``, and a ``jobs`` above the CPU count starts one worker
+    per CPU."""
     if not 1 <= max_n <= _SCAN_MAX_N:
         raise InvalidParameterError(f"max_n={max_n} outside 1..{_SCAN_MAX_N}")
     if jobs < 1:
@@ -163,7 +166,7 @@ def scan_for_targets(
     match = partial(_matches, targets)
     examined = 0
     found: list[list[Graph]] = [[] for _ in targets]
-    with Pool(jobs) if jobs > 1 else nullcontext() as pool:
+    with Pool(min(jobs, os.cpu_count() or 1)) if jobs > 1 else nullcontext() as pool:
         run = partial(pool.imap, chunksize=_CHUNK) if jobs > 1 else map
         for n, level in _class_levels(max_n, connected_only, run):
             for mask, hits in zip(level, run(match, ((n, m) for m in level))):

@@ -367,11 +367,15 @@ class ClauseResult:
 
 @dataclass(frozen=True)
 class SeedVerification:
+    """The clauses check_seed ran on one seed; ``passed`` is read from them."""
     spec: ThetaSpec
     construction_id: str
-    passed: bool
     clauses: tuple[ClauseResult, ...]
     gbar: Graph
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.clauses)
 
     def failures(self) -> list[ClauseResult]:
         return [c for c in self.clauses if not c.passed]
@@ -458,8 +462,7 @@ def check_seed(result: SeedResult) -> SeedVerification:
                 "alpha-graph must not match the i-graph on these arms",
             )
         )
-    passed = all(c.passed for c in clauses)
-    return SeedVerification(spec, trace.construction_id, passed, tuple(clauses), gbar)
+    return SeedVerification(spec, trace.construction_id, tuple(clauses), gbar)
 
 
 # -- the full realizability table ---------------------------------------
@@ -474,11 +477,25 @@ class TableEntry:
 
 @dataclass(frozen=True)
 class TableReport:
+    """The table's entries and the scan reports of its exceptions;
+    ``passed`` and ``failures`` are read from them."""
     max_total: int
     entries: tuple[TableEntry, ...]
     corroboration: tuple[SearchReport, ...]
-    passed: bool
-    failures: tuple[str, ...]
+
+    @property
+    def failures(self) -> tuple[str, ...]:
+        """One line per failed entry, then one per scan that found a witness."""
+        return tuple(
+            f"{ThetaSpec(*e.spec)}: {e.detail}" for e in self.entries if e.outcome == "failed"
+        ) + tuple(
+            f"FATAL: witness found for claimed non-realizable target {to_graph6(rep.target)}"
+            for rep in self.corroboration if rep.found
+        )
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def verify_table(max_total: int, corroborate_max_n: int = 7, jobs: int = 1) -> TableReport:
@@ -487,7 +504,8 @@ def verify_table(max_total: int, corroborate_max_n: int = 7, jobs: int = 1) -> T
     exception must come back not-realizable and (when corroborate_max_n > 0)
     survive an exhaustive seed scan with zero witnesses.  corroborate_max_n
     = 0 skips the scan; values outside 0.._SCAN_MAX_N are rejected before
-    any work, and so is jobs below 1."""
+    any work, and so is jobs below 1.  The report's ``passed`` and
+    ``failures`` are read from its entries and scan reports."""
     if not 3 <= max_total <= 26:
         raise InvalidParameterError("max_total must lie in 3..26")
     if not 0 <= corroborate_max_n <= _SCAN_MAX_N:
@@ -497,47 +515,24 @@ def verify_table(max_total: int, corroborate_max_n: int = 7, jobs: int = 1) -> T
     if jobs < 1:
         raise InvalidParameterError(f"jobs={jobs} must be at least 1")
     entries: list[TableEntry] = []
-    failures: list[str] = []
     exception_targets: list[Graph] = []
     for spec in theta_specs_up_to(max_total):
         j, k, l = spec.as_tuple()
         if spec.as_tuple() in THETA_EXCEPTIONS:
             res = build_theta_seed_complement(j, k, l)
             ok = res.verdict == "not_realizable"
-            entries.append(
-                TableEntry(spec.as_tuple(), "exception" if ok else "failed", None,
-                           res.reason or "")
-            )
-            if not ok:
-                failures.append(f"{spec}: expected a not-realizable verdict")
+            entries.append(TableEntry(spec.as_tuple(), "exception" if ok else "failed", None,
+                                      res.reason if ok else "expected a not-realizable verdict"))
             exception_targets.append(theta(spec))
             continue
         verification = verify_theta_seed(j, k, l)
-        if verification.passed:
-            entries.append(
-                TableEntry(spec.as_tuple(), "verified", verification.construction_id, "")
-            )
-        else:
-            detail = "; ".join(
-                f"{c.name}: {c.detail}" for c in verification.failures()
-            )
-            entries.append(
-                TableEntry(spec.as_tuple(), "failed", verification.construction_id, detail)
-            )
-            failures.append(f"{spec}: {detail}")
+        detail = "; ".join(f"{c.name}: {c.detail}" for c in verification.failures())
+        entries.append(TableEntry(spec.as_tuple(), "verified" if verification.passed else "failed",
+                                  verification.construction_id, detail))
     corroboration: tuple[SearchReport, ...] = ()
     if corroborate_max_n > 0 and exception_targets:
-        reports = scan_for_targets(exception_targets, corroborate_max_n, jobs=jobs)
-        corroboration = tuple(reports)
-        for rep in reports:
-            if rep.found:
-                failures.append(
-                    f"FATAL: witness found for claimed non-realizable target "
-                    f"{to_graph6(rep.target)}"
-                )
-    return TableReport(
-        max_total, tuple(entries), corroboration, not failures, tuple(failures)
-    )
+        corroboration = tuple(scan_for_targets(exception_targets, corroborate_max_n, jobs=jobs))
+    return TableReport(max_total, tuple(entries), corroboration)
 
 
 # -- deletion surgery ---------------------------------------------------

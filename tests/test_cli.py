@@ -198,6 +198,12 @@ def test_lineseed_cycle(capsys):
     assert "pass i-graph matches the input" in out
 
 
+def test_lineseed_prints_its_seed_summary_and_verdict(capsys):
+    code, out, err = run(capsys, "lineseed", "--g6", "EhEG")
+    assert (code, out, err) == (0, "seed graph6: EMyo\ni=2 alpha=2 i-sets=6\n"
+                                   "pass i-graph matches the input\n", "")
+
+
 def test_lineseed_63_vertex_seed(capsys):
     # the root of P62 is P63, so the seed has 63 vertices
     code, out, _ = run(capsys, "lineseed", "--g6", to_graph6(path_graph(62)))
@@ -230,6 +236,18 @@ def test_dualseed_cube(tmp_path, capsys):
     assert code == 0
     assert "pass i-graph contains the input" in out
     assert "pass i-graph is exactly the input" in out
+
+
+def test_dualseed_prints_its_seed_summary_and_verdicts(tmp_path, capsys):
+    g, rot = cube_with_rotation()
+    gpath = tmp_path / "cube.edges"
+    rpath = tmp_path / "cube.rot"
+    gpath.write_text(to_edge_list(g), encoding="utf-8")
+    rpath.write_text(rotation_to_file(g, rot), encoding="utf-8")
+    code, out, err = run(capsys, "dualseed", "--input", str(gpath), "--rotation", str(rpath))
+    assert (code, out, err) == (0, "seed graph6: E@`?\ni=3 alpha=3 i-sets=8\n"
+                                   "pass i-graph contains the input as an induced subgraph\n"
+                                   "pass i-graph is exactly the input\n", "")
 
 
 def test_dualseed_rejects_torus_rotation(tmp_path, capsys):
@@ -355,13 +373,20 @@ def test_lemmas_line_max_above_scan_bound_is_usage_error(capsys):
     assert "--line-max" in err
 
 
+def test_lemmas_above_capacity_is_cap_exit_before_any_verdict(capsys):
+    for flag in ("--wheel-max", "--fan-max"):
+        code, out, err = run(capsys, "lemmas", "--wheel-max", "4", "--fan-max", "2",
+                             "--line-max", "2", flag, "64")
+        assert code == 3 and out == ""
+        assert "resource cap" in err
+
+
 def test_seed_verify_exits_1_when_a_clause_fails(monkeypatch, capsys):
     real = islide.cli.check_seed
 
     def tampered(result):
         v = real(result)
-        return dataclasses.replace(v, passed=False,
-                                   clauses=v.clauses + (ClauseResult("i_value", False, "tampered"),))
+        return dataclasses.replace(v, clauses=v.clauses + (ClauseResult("i_value", False, "tampered"),))
 
     monkeypatch.setattr(islide.cli, "check_seed", tampered)
     code, out, _ = run(capsys, "seed", "5", "5", "5", "--verify")

@@ -50,6 +50,13 @@ def test_graph_validation():
             too_small()
 
 
+def test_vertex_count_must_be_an_int():
+    # True would pass the range check as 1, and 2.0 fail it with a bare TypeError
+    for bad in (True, 2.0):
+        with pytest.raises(InvalidParameterError, match="not an int"):
+            Graph(bad)
+
+
 def test_wheel_shape():
     w = wheel_graph(4)
     assert w.n == 5

@@ -382,6 +382,11 @@ def test_json_rejects_boolean_base_endpoint():
     _rejected(payload)
 
 
+def test_json_rejects_boolean_vertex_count():
+    # true re-serializes as true, so only the parse itself can reject it
+    _rejected('{"base": {"n": true, "edges": []}, "nodes": [[0]], "edges": []}')
+
+
 def test_json_rejects_base_edges_out_of_order():
     payload = _house_seed_payload()
     payload["base"]["edges"].reverse()

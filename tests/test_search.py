@@ -290,7 +290,7 @@ def test_verify_table_reports_a_failed_seed(monkeypatch):
     real = islide.seeds.verify_theta_seed
 
     def tampered(j, k, l):
-        return dataclasses.replace(real(j, k, l), passed=False,
+        return dataclasses.replace(real(j, k, l),
                                    clauses=(ClauseResult("i_value", False, "tampered"),))
 
     monkeypatch.setattr(islide.seeds, "verify_theta_seed", tampered)
@@ -315,6 +315,33 @@ def test_verify_table_reports_a_witness_as_fatal(monkeypatch):
     assert report.passed is False
     assert report.failures == (
         f"FATAL: witness found for claimed non-realizable target {to_graph6(theta_graph(1, 2, 2))}",)
+
+
+def test_scan_starts_no_more_workers_than_cpus(monkeypatch):
+    import os
+    import islide.search
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(islide.search, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = scan_for_targets([house_graph()], 5)
+    assert started == [] and serial[0].found
+    wide = scan_for_targets([house_graph()], 5, jobs=100000)
+    assert started == [2]
+    assert wide[0].witnesses == serial[0].witnesses
 
 
 def test_search_bounds():

@@ -32,7 +32,7 @@ from islide import (
 )
 
 import islide.iso
-from islide.seeds import _ARMS, _build, check_seed, verify_table
+from islide.seeds import _ARMS, ClauseResult, _build, check_seed, verify_table
 from bruteforce import random_graph, reference_check_seed
 
 
@@ -202,6 +202,13 @@ def test_verify_examples():
     v = verify_theta_seed(3, 3, 4)
     assert v.passed
     assert len(independence_report(v.gbar.complement()).i_sets) == 9
+
+
+def test_verify_passed_is_read_from_the_clauses():
+    v = verify_theta_seed(1, 4, 5)
+    tampered = dataclasses.replace(v, clauses=v.clauses + (ClauseResult("extra", False, "x"),))
+    assert v.passed is True and tampered.passed is False
+    assert tampered.failures() == [ClauseResult("extra", False, "x")]
 
 
 def _clauses(v):
