@@ -13,7 +13,7 @@ import sys
 
 from .errors import CapacityError, FormatError, GraphError, InvalidParameterError
 from .formats import from_edge_list, from_graph6, to_dot, to_edge_list, to_graph6
-from .graphs import Graph, bits, fan_graph, line_graph, path_graph, cycle_graph, theta_graph, wheel_graph
+from .graphs import Graph, _check_int, bits, fan_graph, line_graph, path_graph, cycle_graph, theta_graph, wheel_graph
 from .independence import DEFAULT_SET_CAP, independence_report
 from .iso import contains_induced, is_isomorphic
 from .linegraphs import seed_from_line_graph
@@ -126,12 +126,9 @@ def cmd_seed(args) -> int:
 
 def cmd_lemmas(args) -> int:
     # a sweep over no sizes would print "pass" without checking anything
-    for flag, value, least in (("--wheel-max", args.wheel_max, 4), ("--fan-max", args.fan_max, 2),
-                               ("--line-max", args.line_max, 2)):
-        if value < least:
-            raise InvalidParameterError(f"{flag}={value} must be at least {least}")
-    if args.line_max > _SCAN_MAX_N:
-        raise InvalidParameterError(f"--line-max={args.line_max} must be at most {_SCAN_MAX_N}")
+    _check_int("--wheel-max", args.wheel_max, 4)
+    _check_int("--fan-max", args.fan_max, 2)
+    _check_int("--line-max", args.line_max, 2, _SCAN_MAX_N)
     # every seed is built before any verdict prints, so a size above capacity prints nothing
     checks = [(f"wheel rim {k}", wheel_graph(k).complement(), f"C_{k}", cycle_graph(k))
               for k in range(4, args.wheel_max + 1)]

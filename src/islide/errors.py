@@ -6,7 +6,8 @@ class GraphError(Exception):
 
 
 class InvalidParameterError(GraphError):
-    """A size or option is out of range or meaningless for the operation."""
+    """A size or option is out of range, meaningless for the operation, or
+    not an int (a bool does not count as one)."""
 
 
 class CapacityError(GraphError):

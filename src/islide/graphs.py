@@ -45,10 +45,7 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if type(n) is not int:
-            raise InvalidParameterError(f"vertex count {n!r} is not an int")
-        if not 1 <= n <= MAX_VERTICES:
-            raise CapacityError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+        _check_size(n, 1)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -376,22 +373,23 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+# star, wheel and fan check k itself, so a bool fails; Graph(k + 1) rejects k = 64
 def star_graph(k: int) -> Graph:
     """K_{1,k} with the k leaves first and the center labeled last."""
-    _check_size(k + 1, 2)
+    _check_size(k, 1)
     return Graph(k + 1, [(i, k) for i in range(k)])
 
 
 def wheel_graph(k: int) -> Graph:
     """C_k joined to one hub; rim 0..k-1, hub labeled last.  Needs k >= 3."""
-    _check_size(k + 1, 4)
+    _check_size(k, 3)
     edges = [(i, (i + 1) % k) for i in range(k)] + [(i, k) for i in range(k)]
     return Graph(k + 1, edges)
 
 
 def fan_graph(k: int) -> Graph:
     """P_k joined to one apex; path 0..k-1, apex labeled last.  Needs k >= 1."""
-    _check_size(k + 1, 2)
+    _check_size(k, 1)
     edges = [(i, i + 1) for i in range(k - 1)] + [(i, k) for i in range(k)]
     return Graph(k + 1, edges)
 
@@ -437,8 +435,18 @@ def obstruction_t_graph() -> Graph:
     )
 
 
+def _check_int(name: str, value: int, lo: int, hi: int | None = None) -> None:
+    """Raise InvalidParameterError unless value is an int, not a bool, in lo..hi (or >= lo)."""
+    if type(value) is not int:
+        raise InvalidParameterError(f"{name} {value!r} is not an int")
+    if hi is None:
+        if value < lo:
+            raise InvalidParameterError(f"{name} must be at least {lo}, got {value}")
+    elif not lo <= value <= hi:
+        raise InvalidParameterError(f"{name} must lie in {lo}..{hi}, got {value}")
+
+
 def _check_size(n: int, minimum: int) -> None:
-    if n < minimum:
-        raise InvalidParameterError(f"size {n} below minimum {minimum}")
+    _check_int("size", n, minimum)
     if n > MAX_VERTICES:
         raise CapacityError(f"size {n} exceeds capacity {MAX_VERTICES}")

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, SetCountCapError
-from .graphs import Graph
+from .errors import SetCountCapError
+from .graphs import Graph, _check_int
 
 DEFAULT_SET_CAP = 10**6
 
@@ -19,9 +19,8 @@ DEFAULT_SET_CAP = 10**6
 def maximal_independent_sets(g: Graph, cap: int = DEFAULT_SET_CAP) -> list[int]:
     """All maximal independent sets of g as bitmasks, in discovery order
     (deterministic).  Raises SetCountCapError beyond ``cap`` sets, and
-    InvalidParameterError when ``cap`` is below 1."""
-    if cap < 1:
-        raise InvalidParameterError(f"cap={cap} must be at least 1")
+    InvalidParameterError unless ``cap`` is an int of at least 1."""
+    _check_int("cap", cap, 1)
     full = (1 << g.n) - 1
     adj = g.adj
     closed = [adj[v] | (1 << v) for v in range(g.n)]

@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .errors import FormatError, GraphError, InvalidParameterError
 from .formats import to_dot
-from .graphs import Graph, bits, mask_of
+from .graphs import Graph, _check_int, bits, mask_of
 from .independence import independence_report
 
 
@@ -146,6 +146,7 @@ def structural_violations(sg: SlideGraph) -> list[str]:
 def max_induced_star_center_degree(sg: SlideGraph, node: int) -> int:
     """Largest m such that the skeleton has an induced K_{1,m} centered at node."""
     skel = sg.skeleton
+    _check_int("node", node, 0, skel.n - 1)
     if not skel.adj[node]:
         return 0
     sub, _ = skel.induced(skel.adj[node])

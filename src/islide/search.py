@@ -38,7 +38,7 @@ from multiprocessing import Pool
 
 from .errors import InvalidParameterError
 from .formats import to_graph6
-from .graphs import Graph, bits, mask_of
+from .graphs import Graph, _check_int, bits, mask_of
 from .iso import _canonical, canonical_key, is_isomorphic
 from .reconfig import i_graph
 
@@ -76,8 +76,7 @@ class SearchReport:
 def enumerate_labeled_graphs(n: int):
     """Every labeled simple graph on n vertices exactly once, in edge mask
     order.  Hard-capped at n = 8."""
-    if not 1 <= n <= _SCAN_MAX_N:
-        raise InvalidParameterError(f"n={n} outside 1..{_SCAN_MAX_N}")
+    _check_int("n", n, 1, _SCAN_MAX_N)
     for mask in range(1 << (n * (n - 1) // 2)):
         yield Graph._from_mask(n, mask)
 
@@ -154,11 +153,9 @@ def scan_for_targets(
     after the first level at which every target has a witness, and each
     report keeps only its target's first witness.  The output does not
     depend on ``jobs``, and a ``jobs`` above the CPU count starts one worker
-    per CPU."""
-    if not 1 <= max_n <= _SCAN_MAX_N:
-        raise InvalidParameterError(f"max_n={max_n} outside 1..{_SCAN_MAX_N}")
-    if jobs < 1:
-        raise InvalidParameterError(f"jobs={jobs} must be at least 1")
+    per CPU.  A non-int or out-of-range max_n or jobs is rejected before any work."""
+    _check_int("max_n", max_n, 1, _SCAN_MAX_N)
+    _check_int("jobs", jobs, 1)
     for t in targets:
         if t.n > 30:
             raise InvalidParameterError("target order above 30 is out of scope")

@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 
 from .errors import DeletionPreconditionError, InvalidParameterError
 from .formats import to_graph6
-from .graphs import Graph, ThetaSpec, bits, mask_of, theta
+from .graphs import Graph, ThetaSpec, _check_int, bits, mask_of, theta
 from .independence import independence_report
 from .iso import is_isomorphic
 from .linegraphs import line_graph_root
@@ -332,6 +332,7 @@ def applicable_constructions(spec: ThetaSpec) -> list[str]:
 
 def theta_specs_up_to(max_order: int) -> list[ThetaSpec]:
     """All valid (j,k,l) with j+k+l-1 <= max_order, exceptions included."""
+    _check_int("max_order", max_order, 1)
     out = []
     for j in range(1, max_order + 1):
         for k in range(2 if j == 1 else j, max_order + 1):
@@ -502,18 +503,13 @@ def verify_table(max_total: int, corroborate_max_n: int = 7, jobs: int = 1) -> T
     """Check the realizability table for every theta graph on at most
     max_total vertices: realizable specs must verify end to end, and each
     exception must come back not-realizable and (when corroborate_max_n > 0)
-    survive an exhaustive seed scan with zero witnesses.  corroborate_max_n
-    = 0 skips the scan; values outside 0.._SCAN_MAX_N are rejected before
-    any work, and so is jobs below 1.  The report's ``passed`` and
-    ``failures`` are read from its entries and scan reports."""
-    if not 3 <= max_total <= 26:
-        raise InvalidParameterError("max_total must lie in 3..26")
-    if not 0 <= corroborate_max_n <= _SCAN_MAX_N:
-        raise InvalidParameterError(
-            f"corroborate_max_n={corroborate_max_n} outside 0..{_SCAN_MAX_N} (0 skips the scan)"
-        )
-    if jobs < 1:
-        raise InvalidParameterError(f"jobs={jobs} must be at least 1")
+    survive an exhaustive seed scan with zero witnesses; corroborate_max_n = 0
+    skips the scan.  A max_total outside 3..26, corroborate_max_n outside
+    0.._SCAN_MAX_N, jobs below 1 or any non-int is rejected before any work.
+    The report's ``passed`` and ``failures`` are read from its entries and scan reports."""
+    _check_int("max_total", max_total, 3, 26)
+    _check_int("corroborate_max_n", corroborate_max_n, 0, _SCAN_MAX_N)
+    _check_int("jobs", jobs, 1)
     entries: list[TableEntry] = []
     exception_targets: list[Graph] = []
     for spec in theta_specs_up_to(max_total):

@@ -57,6 +57,14 @@ def test_vertex_count_must_be_an_int():
             Graph(bad)
 
 
+def test_vertex_count_zero_is_a_usage_error_and_65_a_capacity_error():
+    with pytest.raises(InvalidParameterError, match="size must be at least 1, got 0"):
+        Graph(0)
+    for too_big in (lambda: Graph(65), lambda: path_graph(65)):
+        with pytest.raises(CapacityError, match="size 65 exceeds capacity 64"):
+            too_big()
+
+
 def test_wheel_shape():
     w = wheel_graph(4)
     assert w.n == 5

@@ -246,6 +246,14 @@ def test_star_center_degree_bounded_by_i():
             assert max_induced_star_center_degree(sg, node) <= i_val
 
 
+def test_star_center_must_be_a_node():
+    # -1 used to read the last node's answer and 5 to raise a bare IndexError
+    sg = i_graph(cycle_graph(5))
+    for bad in (-1, 5):
+        with pytest.raises(InvalidParameterError, match=f"node must lie in 0..4, got {bad}"):
+            max_induced_star_center_degree(sg, bad)
+
+
 def test_disjoint_union_gives_cartesian_product():
     rng = random.Random(71)
     for _ in range(40):

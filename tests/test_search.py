@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -16,15 +17,18 @@ from islide import (
     house_graph,
     i_graph,
     is_isomorphic,
+    maximal_independent_sets,
     obstruction_t_graph,
     path_graph,
     scan_for_targets,
     star_graph,
     theta_graph,
+    theta_specs_up_to,
     to_graph6,
     verify_table,
     wheel_graph,
 )
+from islide.cli import cmd_lemmas
 from islide.search import _class_levels
 
 from bruteforce import (
@@ -280,6 +284,45 @@ def test_verify_table_rejects_jobs_before_work(monkeypatch):
     for bad in (0, -1):
         with pytest.raises(InvalidParameterError, match="jobs"):
             verify_table(26, corroborate_max_n=7, jobs=bad)
+
+
+def _lemmas(**flags):
+    return cmd_lemmas(argparse.Namespace(**{"wheel_max": 4, "fan_max": 2, "line_max": 2, **flags}))
+
+
+# one call per size, count or bound a caller passes
+INT_PARAMETERS = {
+    "size": cycle_graph,
+    "star size": star_graph,
+    "cap": lambda v: maximal_independent_sets(cycle_graph(5), cap=v),
+    "n": lambda v: list(enumerate_labeled_graphs(v)),
+    "max_n": lambda v: scan_for_targets([diamond_graph()], v),
+    "jobs": lambda v: scan_for_targets([diamond_graph()], 3, jobs=v),
+    "max_total": verify_table,
+    "corroborate_max_n": lambda v: verify_table(26, corroborate_max_n=v),
+    "table jobs": lambda v: verify_table(26, jobs=v),
+    "max_order": theta_specs_up_to,
+    "--wheel-max": lambda v: _lemmas(wheel_max=v),
+    "--fan-max": lambda v: _lemmas(fan_max=v),
+    "--line-max": lambda v: _lemmas(line_max=v),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 4.0], ids=["bool", "float"])
+@pytest.mark.parametrize("name", INT_PARAMETERS)
+def test_integer_parameters_reject_a_bool_or_float_before_work(monkeypatch, capsys, name, bad):
+    # a bool used to pass as 1 and a float to fail with a bare TypeError,
+    # for verify_table only after every seed of the table was built
+    import islide.seeds
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a seed was built before the parameters were checked")
+
+    monkeypatch.setattr(islide.seeds, "verify_theta_seed", no_work)
+    monkeypatch.setattr(islide.seeds, "build_theta_seed_complement", no_work)
+    with pytest.raises(InvalidParameterError, match=f"{bad!r} is not an int"):
+        INT_PARAMETERS[name](bad)
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_table_reports_a_failed_seed(monkeypatch):
