@@ -64,6 +64,7 @@ from .independence import (
     maximal_independent_sets,
 )
 from .reconfig import (
+    MAX_SLIDE_NODES,
     SlideGraph,
     alpha_graph,
     build_slide_graph,

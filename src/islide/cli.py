@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 domain verdict (not realizable, witness found under
 --expect-none, lemma failure, seed rejection), 2 usage or parse error,
-3 resource cap exceeded (set count, graph6 output size, theta order, lemmas
-wheel or fan size).
+3 resource cap exceeded (set count, slide graph order, graph6 output size,
+theta order, lemmas wheel or fan size).
 """
 from __future__ import annotations
 

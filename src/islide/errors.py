@@ -13,9 +13,10 @@ class InvalidParameterError(GraphError):
 class CapacityError(GraphError):
     """A size limit would be exceeded: the 64-vertex capacity of a graph
     built from a caller's size (``Graph(n, edges)``, a theta spec, a named
-    generator), the 258047-vertex graph6 size form on output, or the cap on
-    maximal independent sets (``SetCountCapError``).  The CLI exits 3 on
-    this class and every subclass."""
+    generator), the 258047-vertex graph6 size form on output, the cap on
+    maximal independent sets (``SetCountCapError``), or the 2^15-node
+    capacity of a slide graph, whose skeleton rows grow with the square of
+    its node count.  The CLI exits 3 on this class and every subclass."""
 
 
 class FormatError(GraphError):

@@ -14,13 +14,24 @@ prefix maps an earlier searched vertex onto it (orbit pruning, as in McKay
 and Piperno, "Practical graph isomorphism II", 2014), and a leaf equal to
 the first or the best leaf sends the search back to where their paths
 branch.  Each skipped subtree is the image of one searched earlier, so
-every pruned leaf has an equal twin that comes first, and keys and
+every pruned leaf has an equal leaf that comes first, and keys and
 relabelings are exactly those of the exhaustive search of earlier releases
-(``tests/bruteforce.py`` keeps it as ``reference_canonical``).  The
-automorphisms found come back with the labelling; they generate the
-automorphism group, and the class scan in ``search`` labels one extension
-per orbit of them.  Refinement re-sorts only the vertices next to a vertex
-whose color just changed.
+(``tests/bruteforce.py`` keeps it as ``reference_canonical``).  That holds
+for any true automorphism, not only one found at a leaf, so the search
+starts from the transpositions of twins, vertices with equal open or equal
+closed neighbourhoods, read off the rows in one pass: the first smallest
+leaf is still never pruned.  The automorphisms known and found come back
+with the labelling; together they generate the automorphism group, and the
+class scan in ``search`` labels one extension per orbit of them.
+
+Refinement re-sorts only the vertices next to a vertex whose color just
+changed, and splits a cell with one such vertex without sorting.  A child's
+first round needs no sorting either: its parent's partition is stable, so
+every vertex of a cell X has as many neighbours in the cell of the
+individualized vertex w, and individualizing w changes its tuple only by
+whether w is one of them.  The round therefore splits X into X ∩ N(w),
+keeping X's color, followed by X − N(w), and it is made directly from w's
+row.  A leaf's key is read from the edge list of g, built once per walk.
 Highly symmetric graphs stay cheap (Q5 and 4·C4 take milliseconds), since
 the leaves visited grow with the automorphisms found, not with the order of
 the automorphism group; the worst case is still exponential.
@@ -50,7 +61,8 @@ def _refine(nbrs: list[list[int]], adj: list[int], color: list[int], cend: list[
     Only a vertex with a moved neighbour can have a new tuple, and colors
     only grow, so its tuple grows past that of the untouched rest of its
     cell, which keeps the cell's color.  A round therefore sorts only the
-    touched vertices, and it stops when nothing moves.
+    touched vertices, and a cell with one touched vertex splits it off
+    unsorted; it stops when nothing moves.
     """
     label = color.__getitem__
     while moved:
@@ -58,14 +70,28 @@ def _refine(nbrs: list[list[int]], adj: list[int], color: list[int], cend: list[
         for v in moved:
             hit |= adj[v]
         touched: dict[int, list[int]] = {}
-        for u in bits(hit):
+        while hit:
+            low = hit & -hit
+            hit ^= low
+            u = low.bit_length() - 1
             s = color[u]
             if cend[s] - s > 1:
-                touched.setdefault(s, []).append(u)
+                if s in touched:
+                    touched[s].append(u)
+                else:
+                    touched[s] = [u]
         # every new tuple is read before any color changes
         pieces = [(s, sorted([(sorted(map(label, nbrs[v])), v) for v in vs]))
-                  for s, vs in touched.items()]
+                  for s, vs in touched.items() if len(vs) > 1]
         moved = []
+        for s, vs in touched.items():
+            if len(vs) == 1:
+                # one touched vertex beside untouched ones: its tuple is the largest
+                v = vs[0]
+                e = cend[s]
+                cend[s] = color[v] = e - 1
+                cend[e - 1] = e
+                moved.append(v)
         for s, ranked in pieces:
             e = cend[s]
             lo = e - len(ranked)   # the untouched vertices hold positions s .. lo - 1
@@ -87,14 +113,83 @@ def _refine(nbrs: list[list[int]], adj: list[int], color: list[int], cend: list[
             cend[start] = e
 
 
+def _individualize(adj: list[int], color: list[int], cend: list[int], cell: list[int],
+                   w: int) -> tuple[list[int], list[int], list[int]]:
+    """Child of a node with stable ``color`` and ``cend``: individualize w
+    in its cell ``cell`` and make the first refinement round directly.
+
+    Returns ``(color, cend, moved)`` to hand to ``_refine``.  w keeps its
+    cell's color s and the rest of the cell takes s + 1.  The parent is
+    equitable, so every vertex of a cell X has as many neighbours in the
+    old cell of w, and its tuple changes only by whether w is one of them.
+    So the round splits X into X ∩ N(w), which keeps X's color x, followed
+    by X - N(w), which takes x + |X ∩ N(w)| and is what moved; a cell that
+    w's row does not cut stays whole.  That is what ``_refine`` makes of the
+    same child with the whole rest of the cell moved, one round earlier.
+    """
+    s = color[w]
+    e = cend[s]
+    child = color[:]
+    for v in cell:
+        child[v] = s + 1
+    child[w] = s
+    child_cend = cend[:]
+    child_cend[s] = s + 1
+    child_cend[s + 1] = e
+    row = adj[w]
+    count = [0] * len(color)    # count[x]: neighbours of w in the cell of color x
+    rest = row
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        count[child[low.bit_length() - 1]] += 1
+    moved = []
+    rest = ((1 << len(color)) - 1) & ~row & ~(1 << w)
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        x = child[v]
+        c = count[x]
+        if c:
+            # a neighbour and a non-neighbour of w share the cell: it splits
+            if child_cend[x] != x + c:
+                child_cend[x + c] = child_cend[x]
+                child_cend[x] = x + c
+            child[v] = x + c
+            moved.append(v)
+    return child, child_cend, moved
+
+
+def _twins(adj: list[int]) -> list[tuple[list[int], int]]:
+    """Transpositions of twins, each with the mask of the two vertices it
+    moves: one for each vertex and the last vertex before it with the same
+    open or the same closed neighbourhood.  The two kinds of key share one
+    dict: an open key N(u) equal to a closed key N[v] would put v in N(u),
+    so u in N[v] = N(u), which no row has."""
+    n = len(adj)
+    last: dict[int, int] = {}
+    out = []
+    for v, row in enumerate(adj):
+        for key in (row, row | 1 << v):
+            u = last.get(key)
+            last[key] = v
+            if u is not None:
+                gamma = list(range(n))
+                gamma[u], gamma[v] = v, u
+                out.append((gamma, 1 << u | 1 << v))
+    return out
+
+
 def _canonical(g: Graph) -> tuple[int, list[int], list[list[int]]]:
     """Edge mask and relabeling of the smallest completion, and automorphisms
     of g: ``(key, perm, gens)``.
 
     Each ``gamma`` in gens is an automorphism that maps vertex v to
-    ``gamma[v]``, so ``g.relabel(gamma) == g``.  They are the ones the
-    search found from equal leaves, which generate the automorphism group,
-    or for an empty or complete graph an n-cycle and a transposition.
+    ``gamma[v]``, so ``g.relabel(gamma) == g``.  They are the twin
+    transpositions and the ones the search found from equal leaves, which
+    together generate the automorphism group, or for an empty or complete
+    graph an n-cycle and a transposition.
     """
     return _walk(g)
 
@@ -120,9 +215,20 @@ def _walk(g: Graph, trail: list | None = None) -> tuple[int, list[int], list[lis
         if n > 2:
             gens.append([1, 0] + list(range(2, n)))
         return g._edge_mask(), list(range(n)), gens if n > 1 else []
-    nbrs = [list(bits(row)) for row in adj]
-    # automorphisms found from equal leaves, each with the mask of the vertices it moves
-    gens: list[tuple[list[int], int]] = []
+    nbrs = []
+    for row in adj:
+        vs = []
+        while row:
+            low = row & -row
+            row ^= low
+            vs.append(low.bit_length() - 1)
+        nbrs.append(vs)
+    edges = [(u, v) for u, vs in enumerate(nbrs) for v in vs if v > u]
+    # edge (p, q) with p > q of a relabeled graph is bit tri[p] + q of its mask
+    tri = [p * (p - 1) // 2 for p in range(n)]
+    # known automorphisms, each with the mask of the vertices it moves: the
+    # twin transpositions, then those found from equal leaves
+    gens = _twins(adj)
     first = best = None          # (key, perm, path) of the first and best leaf
 
     def descend(path: list[int], fixed: int, color: list[int], cend: list[int],
@@ -138,7 +244,11 @@ def _walk(g: Graph, trail: list | None = None) -> tuple[int, list[int], list[lis
             s = cend[s]
         if s == n:
             # a discrete coloring is a relabeling: color[v] is v's new index
-            key = g.relabel(color)._edge_mask()
+            key = 0
+            for u, v in edges:
+                p = color[u]
+                q = color[v]
+                key |= 1 << (tri[p] + q if p > q else tri[q] + p)
             if trail is not None and _follows(trail, depth, key):
                 best = (key, color, path)
                 return -1
@@ -165,12 +275,12 @@ def _walk(g: Graph, trail: list | None = None) -> tuple[int, list[int], list[lis
             return depth - 1
         if trail is not None and not _follows(trail, depth, tuple(cend)):
             return depth - 1
-        e = cend[s]
         cell = [v for v in range(n) if color[v] == s]
         cell_mask = mask_of(cell)
         # orbits on the target cell of the automorphisms fixing path pointwise,
-        # as a union-find whose roots are the least vertices of their orbits
-        root = {v: v for v in cell}
+        # as a union-find whose roots are the least vertices of their orbits;
+        # built when the first such automorphism turns up
+        root = None
         used = 0
         for w in cell:
             while used < len(gens):
@@ -178,22 +288,20 @@ def _walk(g: Graph, trail: list | None = None) -> tuple[int, list[int], list[lis
                 used += 1
                 if not support & fixed:
                     # it maps the cell onto itself, and its fixed points join nothing
-                    for v in bits(support & cell_mask):
+                    if root is None:
+                        root = {v: v for v in cell}
+                    rest = support & cell_mask
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        v = low.bit_length() - 1
                         a, b = _find(root, v), _find(root, gamma[v])
                         if a != b:
                             root[max(a, b)] = min(a, b)
-            if _find(root, w) != w:
+            if root is not None and _find(root, w) != w:
                 # the subtree of an orbit mate searched earlier maps onto this one
                 continue
-            # individualize w: it keeps color s, the rest of the cell moves to s + 1
-            rest = [v for v in cell if v != w]
-            child_color = color[:]
-            for v in rest:
-                child_color[v] = s + 1
-            child_cend = cend[:]
-            child_cend[s] = s + 1
-            child_cend[s + 1] = e
-            back = descend(path + [w], fixed | 1 << w, child_color, child_cend, rest)
+            back = descend(path + [w], fixed | 1 << w, *_individualize(adj, color, cend, cell, w))
             if back < depth:
                 return back
         return depth - 1

@@ -13,10 +13,14 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import FormatError, GraphError, InvalidParameterError
+from .errors import CapacityError, FormatError, GraphError, InvalidParameterError
 from .formats import to_dot
 from .graphs import Graph, _check_int, bits, mask_of
 from .independence import independence_report
+
+# the skeleton keeps one row of m bits per node, m^2 / 8 bytes for m nodes:
+# 2^15 nodes take 128 MiB, and 3^10 (the i-sets of 10·K3) would take 415 MiB
+MAX_SLIDE_NODES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -54,11 +58,16 @@ def build_slide_graph(g: Graph, family: list[int]) -> SlideGraph:
     then they share only that one, so each set S is looked up under every
     key S - {y} in buckets of the earlier sets: every candidate pair is met
     once, in O(m * i) lookups plus the pairs within each bucket, not m^2 / 2
-    comparisons.
+    comparisons.  A family of more than ``MAX_SLIDE_NODES`` distinct sets
+    raises CapacityError before any row is built.
     """
     nodes = sorted(set(family))
     if not nodes:
         raise InvalidParameterError("empty set family")
+    if len(nodes) > MAX_SLIDE_NODES:
+        raise CapacityError(f"{len(nodes)} sets exceed the slide graph capacity of "
+                            f"{MAX_SLIDE_NODES}: its rows would take "
+                            f"{len(nodes) ** 2 >> 23} MiB")
     size = nodes[0].bit_count()
     full = g.full_mask()
     for s in nodes:

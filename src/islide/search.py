@@ -34,7 +34,6 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from multiprocessing import Pool
 
 from .errors import InvalidParameterError
 from .formats import to_graph6
@@ -163,6 +162,9 @@ def scan_for_targets(
     match = partial(_matches, targets)
     examined = 0
     found: list[list[Graph]] = [[] for _ in targets]
+    if jobs > 1:
+        # imported here so that importing islide does not load multiprocessing
+        from multiprocessing import Pool
     with Pool(min(jobs, os.cpu_count() or 1)) if jobs > 1 else nullcontext() as pool:
         run = partial(pool.imap, chunksize=_CHUNK) if jobs > 1 else map
         for n, level in _class_levels(max_n, connected_only, run):

@@ -504,10 +504,12 @@ def verify_table(max_total: int, corroborate_max_n: int = 7, jobs: int = 1) -> T
     max_total vertices: realizable specs must verify end to end, and each
     exception must come back not-realizable and (when corroborate_max_n > 0)
     survive an exhaustive seed scan with zero witnesses; corroborate_max_n = 0
-    skips the scan.  A max_total outside 3..26, corroborate_max_n outside
-    0.._SCAN_MAX_N, jobs below 1 or any non-int is rejected before any work.
+    skips the scan.  A max_total outside 4..26 (the smallest theta graph,
+    θ(1,2,2), has 4 vertices, so a smaller bound would check nothing), a
+    corroborate_max_n outside 0.._SCAN_MAX_N, jobs below 1 or any non-int is
+    rejected before any work.
     The report's ``passed`` and ``failures`` are read from its entries and scan reports."""
-    _check_int("max_total", max_total, 3, 26)
+    _check_int("max_total", max_total, 4, 26)
     _check_int("corroborate_max_n", corroborate_max_n, 0, _SCAN_MAX_N)
     _check_int("jobs", jobs, 1)
     entries: list[TableEntry] = []

@@ -86,6 +86,18 @@ def test_compute_cap_exit(capsys):
     assert "resource cap" in err
 
 
+def test_compute_above_slide_graph_capacity_is_cap_exit(capsys):
+    from islide import Graph
+
+    # 10*K3 has 3^10 = 59,049 i-sets, under --cap, but above the 2^15 nodes a
+    # slide graph may have: exit 3 before the skeleton is built or anything prints
+    ten_triangles = Graph(30, [(3 * t + a, 3 * t + b) for t in range(10)
+                               for a, b in ((0, 1), (0, 2), (1, 2))])
+    code, out, err = run(capsys, "compute", "--g6", to_graph6(ten_triangles))
+    assert code == 3 and out == ""
+    assert "59049 sets exceed the slide graph capacity of 32768" in err
+
+
 def test_compute_graph6_large_igraph(tmp_path, capsys):
     from islide import Graph
 

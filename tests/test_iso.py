@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from islide import (
     Graph,
+    bits,
     canonical_form,
     canonical_key,
     cartesian_product,
@@ -21,6 +22,7 @@ from islide import (
     theta_graph,
     wheel_graph,
 )
+from islide import iso
 from islide.search import _class_levels
 
 from bruteforce import (
@@ -28,6 +30,7 @@ from bruteforce import (
     brute_is_isomorphic,
     random_graph,
     random_permutation,
+    reference_canonical,
     rook_graph,
     shrikhande_graph,
 )
@@ -110,6 +113,78 @@ def test_is_isomorphic_separates_the_classes_on_7_vertices():
                 assert is_isomorphic(a, b.relabel(random_permutation(rng, 7))) is (a is b)
                 pairs += 1
     assert pairs == 7608
+
+
+def test_canonical_matches_reference_on_every_class_on_7_vertices():
+    rng = random.Random(71)
+    level = dict(_class_levels(7, False))[7]
+    assert len(level) == 1044
+    for mask in level:
+        g = Graph._from_mask(7, mask).relabel(random_permutation(rng, 7))
+        assert iso._canonical(g)[:2] == reference_canonical(g)
+
+
+def test_direct_first_round_matches_refining_the_individualized_cell():
+    # at every node of every class's tree on up to 6 vertices, individualizing
+    # any vertex of any non-singleton cell by the direct split and then
+    # _refine must give what _refine makes of the rest of the cell moved
+    checked = 0
+    for n, level in _class_levels(6, False):
+        for mask in level:
+            g = Graph._from_mask(n, mask)
+            nbrs = [list(bits(row)) for row in g.adj]
+            color, cend = [0] * n, [0] * n
+            cend[0] = n
+            iso._refine(nbrs, g.adj, color, cend, list(range(n)))
+            stack = [(color, cend)]
+            while stack:
+                color, cend = stack.pop()
+                cells = [[v for v in range(n) if color[v] == s]
+                         for s in sorted(set(color)) if cend[s] - s > 1]
+                for i, cell in enumerate(cells):
+                    for w in cell:
+                        s = color[w]
+                        want_color, want_cend = color[:], cend[:]
+                        rest = [v for v in cell if v != w]
+                        for v in rest:
+                            want_color[v] = s + 1
+                        want_cend[s], want_cend[s + 1] = s + 1, cend[s]
+                        iso._refine(nbrs, g.adj, want_color, want_cend, rest)
+                        got_color, got_cend, moved = iso._individualize(g.adj, color, cend, cell, w)
+                        iso._refine(nbrs, g.adj, got_color, got_cend, moved)
+                        assert (got_color, got_cend) == (want_color, want_cend), (n, mask, w)
+                        checked += 1
+                        if i == 0:
+                            # the walk individualizes in the first non-singleton cell
+                            stack.append((want_color, want_cend))
+    assert checked == 6727
+
+
+def test_twin_transpositions_fix_the_graph():
+    # (u v) is an automorphism exactly when u and v are twins, so the
+    # transpositions must join exactly the pairs whose swap fixes g
+    rng = random.Random(13)
+    graphs = [Graph._from_mask(n, m) for n, level in _class_levels(6, False) for m in level]
+    graphs += [random_graph(rng, rng.randint(2, 12), rng.random()) for _ in range(200)]
+    graphs += [star_graph(5), complete_graph(4), Graph(5, [(0, 1)])]
+    for g in graphs:
+        n = g.n
+        found = set()
+        for gamma, support in iso._twins(g.adj):
+            assert g.relabel(gamma) == g
+            u, v = (x for x in range(n) if gamma[x] != x)
+            assert support == 1 << u | 1 << v and gamma[u] == v and gamma[v] == u
+            found.add(frozenset((u, v)))
+        joined = {v: {v} for v in range(n)}
+        for u, v in found:
+            merged = joined[u] | joined[v]
+            for x in merged:
+                joined[x] = merged
+        for u in range(n):
+            for v in range(u + 1, n):
+                swap = list(range(n))
+                swap[u], swap[v] = v, u
+                assert (v in joined[u]) is (g.relabel(swap) == g), (g.edges(), u, v)
 
 
 def test_iso_positive_examples():

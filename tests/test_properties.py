@@ -26,6 +26,7 @@ from islide import (
     to_graph6,
 )
 from islide import iso
+from islide.search import _class_levels
 
 from bruteforce import (
     brute_automorphism_orbits,
@@ -140,6 +141,27 @@ def test_canonical_generators_are_automorphisms(g):
 @given(graphs(6))
 def test_canonical_generators_give_the_automorphism_orbits(g):
     assert generated_orbits(g.n, iso._canonical(g)[2]) == brute_automorphism_orbits(g)
+
+
+def test_canonical_generators_generate_the_automorphism_group():
+    # with twin transpositions pruning from the start, the group the
+    # generators close to must still be all of Aut(G), on every class on up
+    # to 6 vertices with random labels
+    rng = random.Random(3)
+    for n, level in _class_levels(6, False):
+        for mask in level:
+            g = Graph._from_mask(n, mask).relabel(random_permutation(rng, n))
+            gens = iso._canonical(g)[2]
+            group = [tuple(range(n))]
+            seen = set(group)
+            for p in group:
+                for gamma in gens:
+                    q = tuple(gamma[p[v]] for v in range(n))
+                    if q not in seen:
+                        seen.add(q)
+                        group.append(q)
+            auts = sum(g.relabel(list(p)) == g for p in itertools.permutations(range(n)))
+            assert len(group) == auts, g.edges()
 
 
 def test_generators_of_empty_and_complete_graphs():

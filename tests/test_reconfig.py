@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from islide import (
+    MAX_SLIDE_NODES,
+    CapacityError,
     FormatError,
     Graph,
     InvalidParameterError,
@@ -66,6 +68,14 @@ def test_complete_graph_igraph_is_itself():
     for n in (1, 2, 4, 6):
         sg = i_graph(complete_graph(n))
         assert is_isomorphic(sg.skeleton, complete_graph(n))
+
+
+def test_slide_graph_above_capacity_raises_before_building_rows():
+    # C(20, 6) = 38,760 sets: rows of that many bits each would take 179 MiB
+    family = [mask_of(c) for c in itertools.combinations(range(20), 6)]
+    assert len(family) == 38760 > MAX_SLIDE_NODES == 2 ** 15
+    with pytest.raises(CapacityError, match="38760 sets exceed"):
+        build_slide_graph(Graph(20), family)
 
 
 def test_mixed_cardinalities_rejected():

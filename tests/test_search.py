@@ -266,8 +266,8 @@ def test_verify_table_rejects_scan_bound_before_work():
     for bad in (-1, 9):
         with pytest.raises(InvalidParameterError):
             verify_table(26, corroborate_max_n=bad)
-    for bad in (2, 27):
-        with pytest.raises(InvalidParameterError, match="max_total must lie in 3..26"):
+    for bad in (2, 3, 27):
+        with pytest.raises(InvalidParameterError, match="max_total must lie in 4..26"):
             verify_table(bad)
     report = verify_table(5, corroborate_max_n=0)
     assert report.passed and report.corroboration == ()
@@ -361,8 +361,8 @@ def test_verify_table_reports_a_witness_as_fatal(monkeypatch):
 
 
 def test_scan_starts_no_more_workers_than_cpus(monkeypatch):
+    import multiprocessing
     import os
-    import islide.search
     started = []
 
     class RecordingPool:
@@ -378,7 +378,7 @@ def test_scan_starts_no_more_workers_than_cpus(monkeypatch):
         def imap(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(islide.search, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     serial = scan_for_targets([house_graph()], 5)
     assert started == [] and serial[0].found
