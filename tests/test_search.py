@@ -164,16 +164,39 @@ def test_connected_only_filter():
     assert rep.graphs_examined == 1 + 1 + 2 + 6 + 21  # A001349, n = 1..5
 
 
-def test_class_levels_match_oeis_through_8():
+@pytest.fixture
+def store(monkeypatch):
+    """The process's level store, empty for this test; the one it replaces
+    comes back after."""
+    import islide.search
+
+    levels = []
+    monkeypatch.setattr(islide.search, "_LEVELS", levels)
+    return levels
+
+
+A000088 = [1, 2, 4, 11, 34, 156, 1044, 12346]
+A001349 = [1, 1, 2, 6, 21, 112, 853, 11117]
+
+
+def _complete(store):
+    """The stored levels are the first len(store) levels, each whole."""
+    assert [len(masks) for masks, _ in store] == A000088[:len(store)]
+    assert [len(connected) for _, connected in store] == A001349[:len(store)]
+
+
+def test_class_levels_match_oeis_through_8(store):
     # the max-degree generator against A000088 (all classes) and A001349
-    # (connected classes); level 8 is built once
+    # (connected classes); level 8 is built once, and a warm walk reads
+    # what the cold one built
     full = dict(_class_levels(8, connected_only=False))
-    assert [len(full[n]) for n in range(1, 9)] == [1, 2, 4, 11, 34, 156, 1044, 12346]
+    assert [len(full[n]) for n in range(1, 9)] == A000088
     connected = {n: [m for m in level if Graph._from_mask(n, m).is_connected()]
                  for n, level in full.items()}
-    assert ([len(connected[n]) for n in range(1, 9)]
-            == [1, 1, 2, 6, 21, 112, 853, 11117])
-    assert dict(_class_levels(7, connected_only=True)) == {n: connected[n] for n in range(1, 8)}
+    assert [len(connected[n]) for n in range(1, 9)] == A001349
+    assert dict(_class_levels(8, connected_only=False)) == full
+    assert dict(_class_levels(8, connected_only=True)) == connected
+    assert len(store) == 8
     for n, level in full.items():
         assert level == sorted(set(level))
         if n <= 6:
@@ -181,9 +204,9 @@ def test_class_levels_match_oeis_through_8():
 
 
 @pytest.fixture
-def labellings(monkeypatch):
+def labellings(monkeypatch, store):
     """A one-item list counting the canonical labellings (``_canonical``
-    calls) made from here on."""
+    calls) made from here on, from an empty level store."""
     import islide.iso
     import islide.search
 
@@ -202,20 +225,104 @@ def labellings(monkeypatch):
 def test_class_levels_label_one_extension_per_orbit(labellings):
     # one labelling per parent for its automorphisms (208 parents), and one
     # per orbit of them on the neighbourhoods of a new maximum-degree vertex
-    assert [len(level) for _, level in _class_levels(7, False)] == [1, 2, 4, 11, 34, 156, 1044]
-    assert labellings[0] <= 1847
+    assert [len(level) for _, level in _class_levels(7, False)] == A000088[:7]
+    assert labellings[0] == 1847
 
 
-def test_scan_labels_only_for_the_class_walk(labellings):
-    # is_isomorphic decides every match without labelling, so a scan of
-    # the ten corroborate targets labels exactly what building its levels does
+def test_scan_labels_only_for_the_class_walk(labellings, store):
+    # is_isomorphic decides every match without labelling, so a cold scan of
+    # the ten corroborate targets labels exactly what a cold walk of its
+    # levels does, and a second scan reads the stored levels and labels nothing
+    import dataclasses
+
     targets = ([theta_graph(*spec) for spec in sorted(THETA_EXCEPTIONS)]
                + [obstruction_t_graph(), house_graph(), cycle_graph(5)])
     assert len(targets) == 10
-    scan_for_targets(targets, max_n=6)
+    cold = scan_for_targets(targets, max_n=6)
     scanned, labellings[0] = labellings[0], 0
+    warm = scan_for_targets(targets, max_n=6)
+    assert labellings[0] == 0
+    assert ([dataclasses.replace(r, elapsed=0) for r in warm]
+            == [dataclasses.replace(r, elapsed=0) for r in cold])
+    store.clear()
     list(_class_levels(6, False))
     assert scanned == labellings[0] == 290
+
+
+def test_an_early_stop_stores_only_the_levels_it_reached(store):
+    # C4's first seed, 2K2, has 4 vertices
+    rep = scan_for_targets([cycle_graph(4)], 7, stop_at_first=True)[0]
+    assert is_isomorphic(rep.witnesses[0], disjoint_union(path_graph(2), path_graph(2)))
+    assert len(store) == 4
+    _complete(store)
+
+
+def test_a_failed_build_stores_only_complete_levels(store):
+    def fails_on_fourth_parent(fn, items):
+        for i, item in enumerate(items):
+            if i == 3:
+                raise RuntimeError("worker lost")
+            yield fn(item)
+
+    # level 4 is the first with four parents
+    with pytest.raises(RuntimeError, match="worker lost"):
+        list(_class_levels(6, False, run=fails_on_fourth_parent))
+    assert len(store) == 3
+    _complete(store)
+    assert [len(level) for _, level in _class_levels(6, False)] == A000088[:6]
+    _complete(store)
+
+
+def test_a_level_built_twice_is_stored_once(store):
+    def builds_level_4_first(fn, items):
+        if len(store) == 3:
+            list(_class_levels(4, False))
+        return map(fn, items)
+
+    levels = list(_class_levels(5, False, run=builds_level_4_first))
+    assert [len(level) for _, level in levels] == A000088[:5]
+    assert len(store) == 5
+    _complete(store)
+
+
+def test_threads_walking_at_once_store_each_level_once(store):
+    import sys
+    import threading
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            store.clear()
+            threads = [threading.Thread(target=lambda: list(_class_levels(6, False)))
+                       for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert len(store) == 6
+            _complete(store)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_yielded_level_is_a_copy(store):
+    for _, level in _class_levels(5, connected_only=False):
+        level.clear()
+    for _, level in _class_levels(5, connected_only=True):
+        level.append(-1)
+    _complete(store)
+    assert [len(level) for _, level in _class_levels(5, True)] == A001349[:5]
+
+
+def test_a_parallel_fill_stores_what_a_serial_one_does(store):
+    scan_for_targets([house_graph()], 7, jobs=2)
+    parallel = list(store)
+    store.clear()
+    scan_for_targets([house_graph()], 7, jobs=1)
+    assert store == parallel
+    _complete(store)
 
 
 def test_scan_keys_exactly_what_a_scan_keying_every_class_finds():
