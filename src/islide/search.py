@@ -13,10 +13,10 @@ the neighbourhoods are split into orbits under the automorphisms that
 labelling the parent yields, and one per orbit is labelled.  The connected
 classes are the connected members of each level, since deleting a
 maximum-degree vertex can disconnect a graph.  The levels are a fixed
-table, so ``_LEVELS`` keeps each complete level built in the process, with
-its connected members (0.6 MB through n = 8), and a later walk reads them:
-the first scan in a process pays for the walk to its bound, and a scan
-within what is stored labels nothing.  Each class is tested once:
+table, so ``_LEVELS`` keeps each complete level built in the process (0.6
+MB through n = 8), and a later walk reads them: the first walk in a
+process pays for the levels to its bound, and a walk within what is stored
+labels nothing.  Each class is tested once:
 the library's own ``i_graph`` builds its i-graph, and ``is_isomorphic``
 matches the skeleton against each target, so canonical labelling only
 builds the levels.  Both stages run through the builtin ``map`` for one job
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -50,12 +49,9 @@ _SCAN_MAX_N = 8
 # items per message to a pool worker: testing a class takes well under a
 # millisecond, so items sent one by one keep the workers waiting on messages
 _CHUNK = 64
-# the complete class levels built so far in this process: entry n - 1 holds
-# level n's sorted canonical edge masks and its connected members
-_LEVELS: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-# makes the check that a level is the next missing one and its append one
-# step for threads that walk at once
-_STORE_LOCK = threading.Lock()
+# the complete class levels built so far in this process: level n's sorted
+# canonical edge masks under key n
+_LEVELS: dict[int, tuple[int, ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -126,22 +122,20 @@ def _extensions(args) -> set[int]:
 
 def _class_levels(max_n: int, connected_only: bool, run=map):
     """Yield ``(n, level)`` for n = 1 .. max_n, where level is a fresh sorted
-    list of the canonical edge masks of the classes on n vertices, or of the
-    connected ones with connected_only.  Levels are read from ``_LEVELS``;
-    one it does not hold yet is built when it is asked for, whole, with
-    ``run`` mapping ``_extensions`` over the parents, and stored only when
-    it is still the next missing one."""
+    list of the canonical edge masks of the classes on n vertices;
+    connected_only keeps the connected ones.  Levels are read from
+    ``_LEVELS``; one it does not hold yet is built when it is asked for,
+    whole, with ``run`` mapping ``_extensions`` over the parents, and stored
+    unless a level n was stored meanwhile (``setdefault`` is one step, so a
+    level built twice is stored once)."""
     for n in range(1, max_n + 1):
-        if n > len(_LEVELS):
-            level = (sorted(set().union(*run(_extensions, ((n - 1, m) for m in _LEVELS[n - 2][0]))))
+        if n not in _LEVELS:
+            level = (sorted(set().union(*run(_extensions, ((n - 1, m) for m in _LEVELS[n - 1]))))
                      if n > 1 else [0])
-            entry = (tuple(level),
-                     tuple(m for m in level if Graph._from_mask(n, m).is_connected()))
-            with _STORE_LOCK:
-                if len(_LEVELS) == n - 1:
-                    _LEVELS.append(entry)
-        masks, connected = _LEVELS[n - 1]
-        yield n, list(connected if connected_only else masks)
+            _LEVELS.setdefault(n, tuple(level))
+        level = _LEVELS[n]
+        yield n, ([m for m in level if Graph._from_mask(n, m).is_connected()]
+                  if connected_only else list(level))
 
 
 def _matches(targets: list[Graph], args) -> list[int]:

