@@ -1,13 +1,16 @@
 """Labellings (``iso._canonical`` calls) and level digest of the class walk
 to n = 8, cold and then warm, and labellings per corroborate scan (the ten
 targets of the benchmark, n <= 6), first and second in one process, for the
-checkout named on the command line:
+checkout named on the command line, and the memory the filled store holds
+(tracemalloc, after a cold walk to 8):
 
     python3 perf/level-store/walk_counts.py CHECKOUT
 """
+import gc
 import hashlib
 import sys
 import time
+import tracemalloc
 
 sys.path.insert(0, sys.argv[1] + "/src")
 import islide
@@ -41,3 +44,10 @@ for name in ("cold walk", "warm walk"):
     took = time.perf_counter() - t
     print(f"{name}, n <= 8: {calls[0]} labellings, {took:.2f} s, "
           f"levels sha256 {hashlib.sha256(repr(levels).encode()).hexdigest()[:16]}")
+if hasattr(search, "_LEVELS"):
+    search._LEVELS.clear()
+    tracemalloc.start()
+    list(search._class_levels(8, False))
+    gc.collect()
+    print(f"store through n = 8: {tracemalloc.get_traced_memory()[0] / 1e6:.2f} MB, "
+          f"{sum(map(len, search._LEVELS.values()))} masks")

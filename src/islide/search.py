@@ -13,8 +13,8 @@ the neighbourhoods are split into orbits under the automorphisms that
 labelling the parent yields, and one per orbit is labelled.  The connected
 classes are the connected members of each level, since deleting a
 maximum-degree vertex can disconnect a graph.  The levels are a fixed
-table, so ``_LEVELS`` keeps each complete level built in the process (0.6
-MB through n = 8), and a later walk reads them: the first walk in a
+table, so ``_LEVELS`` keeps each complete level built in the process
+(0.54 MB through n = 8), and a later walk reads them: the first walk in a
 process pays for the levels to its bound, and a walk within what is stored
 labels nothing.  Each class is tested once:
 the library's own ``i_graph`` builds its i-graph, and ``is_isomorphic``
