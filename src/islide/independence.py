@@ -60,12 +60,17 @@ class IndependenceReport:
         return self.i == self.alpha
 
 
+def _minimum_sets(sets: list[int]) -> list[int]:
+    """The sets of least size in ``sets``, sorted ascending: the i-sets of
+    a graph when ``sets`` are its maximal independent sets."""
+    i = min(map(int.bit_count, sets))
+    return sorted(s for s in sets if s.bit_count() == i)
+
+
 def independence_report(g: Graph, cap: int = DEFAULT_SET_CAP) -> IndependenceReport:
     sets = maximal_independent_sets(g, cap=cap)
-    sizes = [s.bit_count() for s in sets]
-    i = min(sizes)
-    alpha = max(sizes)
-    i_sets = tuple(sorted(s for s, k in zip(sets, sizes) if k == i))
-    alpha_sets = tuple(sorted(s for s, k in zip(sets, sizes) if k == alpha))
-    return IndependenceReport(i, alpha, i_sets, alpha_sets, len(sets))
+    i_sets = _minimum_sets(sets)
+    alpha = max(map(int.bit_count, sets))
+    alpha_sets = tuple(sorted(s for s in sets if s.bit_count() == alpha))
+    return IndependenceReport(i_sets[0].bit_count(), alpha, tuple(i_sets), alpha_sets, len(sets))
 

@@ -16,7 +16,7 @@ from functools import cached_property
 from .errors import CapacityError, FormatError, GraphError, InvalidParameterError
 from .formats import to_dot
 from .graphs import Graph, _check_int, bits, mask_of
-from .independence import independence_report
+from .independence import _minimum_sets, independence_report, maximal_independent_sets
 
 # the skeleton keeps one row of m bits per node, m^2 / 8 bytes for m nodes:
 # 2^15 nodes take 128 MiB, and 3^10 (the i-sets of 10·K3) would take 415 MiB
@@ -99,7 +99,7 @@ def build_slide_graph(g: Graph, family: list[int]) -> SlideGraph:
 
 
 def i_graph(g: Graph) -> SlideGraph:
-    return build_slide_graph(g, list(independence_report(g).i_sets))
+    return build_slide_graph(g, _minimum_sets(maximal_independent_sets(g)))
 
 
 def alpha_graph(g: Graph) -> SlideGraph:

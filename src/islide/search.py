@@ -16,12 +16,16 @@ maximum-degree vertex can disconnect a graph.  The levels are a fixed
 table, so ``_LEVELS`` keeps each complete level built in the process
 (0.54 MB through n = 8), and a later walk reads them: the first walk in a
 process pays for the levels to its bound, and a walk within what is stored
-labels nothing.  Each class is tested once:
-the library's own ``i_graph`` builds its i-graph, and ``is_isomorphic``
-matches the skeleton against each target, so canonical labelling only
+labels nothing.  Each class is tested once.  Its i-graph has one node per
+i-set, so it can match only a target with that many vertices: the scan
+counts the class's i-sets from the same helper ``i_graph`` uses, builds the
+slide graph only when some target has that order, and ``is_isomorphic``
+matches the skeleton against those targets, so canonical labelling only
 builds the levels.  Both stages run through the builtin ``map`` for one job
 or a process pool's ``imap`` in batches of ``_CHUNK`` items for more, per
-parent to build a level and per class to test it.  Levels are sorted and
+parent to build a level and per class to test it.  The pool starts only
+when a level the scan needs is not stored yet: testing the classes of a
+stored level costs less than starting the workers.  Levels are sorted and
 ``imap`` keeps their order, so witnesses come out in (n, canonical edge
 mask) order, and an early stop ends after the same level whatever the
 number of jobs.
@@ -42,8 +46,9 @@ from functools import partial
 from .errors import InvalidParameterError
 from .formats import to_graph6
 from .graphs import Graph, _check_int, bits, mask_of
+from .independence import _minimum_sets, maximal_independent_sets
 from .iso import _canonical, canonical_key, is_isomorphic
-from .reconfig import i_graph
+from .reconfig import build_slide_graph
 
 _SCAN_MAX_N = 8
 # items per message to a pool worker: testing a class takes well under a
@@ -138,12 +143,19 @@ def _class_levels(max_n: int, connected_only: bool, run=map):
                   if connected_only else list(level))
 
 
-def _matches(targets: list[Graph], args) -> list[int]:
-    """Indices of the targets isomorphic to the i-graph skeleton of the
-    graph with edge mask ``mask`` on n vertices."""
+def _matches(by_order: dict[int, list[tuple[int, Graph]]], args) -> list[int]:
+    """Indices, ascending, of the targets isomorphic to the i-graph skeleton
+    of the graph with edge mask ``mask`` on n vertices.  ``by_order`` maps a
+    target order to that order's ``(index, target)`` pairs; the slide graph
+    is built only when the graph's i-set count is one of its keys."""
     n, mask = args
-    skeleton = i_graph(Graph._from_mask(n, mask)).skeleton
-    return [idx for idx, t in enumerate(targets) if is_isomorphic(skeleton, t)]
+    g = Graph._from_mask(n, mask)
+    i_sets = _minimum_sets(maximal_independent_sets(g))
+    candidates = by_order.get(len(i_sets))
+    if candidates is None:
+        return []
+    skeleton = build_slide_graph(g, i_sets).skeleton
+    return [idx for idx, t in candidates if is_isomorphic(skeleton, t)]
 
 
 def scan_for_targets(
@@ -154,30 +166,38 @@ def scan_for_targets(
     stop_at_first: bool = False,
 ) -> list[SearchReport]:
     """One pass over the isomorphism classes of graphs on up to max_n
-    vertices, matched against every target at once: ``is_isomorphic``
-    compares each class's i-graph skeleton with each target.  Returns one
+    vertices, matched against every target at once: a class whose i-set
+    count is some target's order has its i-graph built, and
+    ``is_isomorphic`` compares the skeleton with each target of that order;
+    the other classes build none.  Returns one
     report per target; each witness is a canonical graph, one per class, in
     (n, canonical edge mask) order.  By default the scan runs to max_n and
     keeps every witness: an empty report corroborates a non-realizability
     claim up to the bound, and is never a proof.  With stop_at_first the scan ends
     after the first level at which every target has a witness, and each
     report keeps only its target's first witness.  The output does not
-    depend on ``jobs``, and a ``jobs`` above the CPU count starts one worker
-    per CPU.  A non-int or out-of-range max_n or jobs is rejected before any work."""
+    depend on ``jobs``.  More than one job starts a pool only when some level
+    up to max_n is not stored yet, and a ``jobs`` above the CPU count starts
+    one worker per CPU.  A non-int or out-of-range max_n or jobs is rejected
+    before any work."""
     _check_int("max_n", max_n, 1, _SCAN_MAX_N)
     _check_int("jobs", jobs, 1)
     for t in targets:
         if t.n > 30:
             raise InvalidParameterError("target order above 30 is out of scope")
     t0 = time.perf_counter()
-    match = partial(_matches, targets)
+    by_order: dict[int, list[tuple[int, Graph]]] = {}
+    for idx, t in enumerate(targets):
+        by_order.setdefault(t.n, []).append((idx, t))
+    match = partial(_matches, by_order)
     examined = 0
     found: list[list[Graph]] = [[] for _ in targets]
-    if jobs > 1:
+    parallel = jobs > 1 and not all(n in _LEVELS for n in range(1, max_n + 1))
+    if parallel:
         # imported here so that importing islide does not load multiprocessing
         from multiprocessing import Pool
-    with Pool(min(jobs, os.cpu_count() or 1)) if jobs > 1 else nullcontext() as pool:
-        run = partial(pool.imap, chunksize=_CHUNK) if jobs > 1 else map
+    with Pool(min(jobs, os.cpu_count() or 1)) if parallel else nullcontext() as pool:
+        run = partial(pool.imap, chunksize=_CHUNK) if parallel else map
         for n, level in _class_levels(max_n, connected_only, run):
             for mask, hits in zip(level, run(match, ((n, m) for m in level))):
                 for idx in hits:

@@ -1,6 +1,9 @@
 """Property tests of the edge-mask codec, of canonical labelling, of the
 maximal-independent-set families and of line graphs and their roots against
-the independent oracles in ``bruteforce``."""
+the independent oracles in ``bruteforce``, and of the class scan against a
+loop that builds every class's i-graph."""
+import dataclasses
+import functools
 import itertools
 import random
 
@@ -15,6 +18,7 @@ from islide import (
     diamond_graph,
     disjoint_union,
     from_graph6,
+    i_graph,
     independence_report,
     is_isomorphic,
     krausz_partition,
@@ -22,11 +26,12 @@ from islide import (
     line_graph_root,
     maximal_independent_sets,
     path_graph,
+    scan_for_targets,
     star_graph,
     to_graph6,
 )
 from islide import iso
-from islide.search import _class_levels
+from islide.search import SearchReport, _class_levels
 
 from bruteforce import (
     brute_automorphism_orbits,
@@ -256,3 +261,31 @@ def test_graphs_with_an_induced_claw_have_no_krausz_partition(n, p, rng):
     g = random_graph(rng, n, p)   # sparse enough for claws, dense enough for cliques
     assume(brute_contains_induced(g, star_graph(3)))
     assert krausz_partition(g) is None
+
+
+@functools.cache
+def _class_i_graphs() -> tuple[tuple[Graph, Graph], ...]:
+    """Every class on <= 6 vertices with its i-graph skeleton, in the scan's
+    order, from ``i_graph`` with no gate."""
+    return tuple((g, i_graph(g).skeleton) for n, level in _class_levels(6, False)
+                 for g in (Graph._from_mask(n, m) for m in level))
+
+
+@st.composite
+def scan_targets(draw):
+    # a relabelled i-graph of some class hits at least that class; a random
+    # graph on <= 8 vertices mostly misses
+    if draw(st.booleans()):
+        return draw(graphs(8))
+    _, skeleton = draw(st.sampled_from(_class_i_graphs()))
+    return skeleton.relabel(draw(st.permutations(range(skeleton.n))))
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.lists(scan_targets(), min_size=1, max_size=6))
+def test_scan_reports_what_an_ungated_i_graph_loop_finds(targets):
+    expected = [SearchReport(t, 6, False, 208,
+                             tuple(g for g, skel in _class_i_graphs() if is_isomorphic(skel, t)),
+                             0)
+                for t in targets]
+    assert [dataclasses.replace(r, elapsed=0) for r in scan_for_targets(targets, 6)] == expected

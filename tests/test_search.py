@@ -45,6 +45,17 @@ TEN_TARGETS = [house_graph(), cycle_graph(5), cycle_graph(6),
                disjoint_union(complete_graph(3), complete_graph(3)), path_graph(4),
                star_graph(3), complete_graph(4), theta_graph(1, 2, 3), diamond_graph(),
                theta_graph(2, 2, 2)]
+# the corroborate workload's targets: the seven theta exceptions (the first
+# is the diamond), the obstruction T, and the controls house and C5
+CORROBORATE = ([theta_graph(*spec) for spec in sorted(THETA_EXCEPTIONS)]
+               + [obstruction_t_graph(), house_graph(), cycle_graph(5)])
+
+
+def _brute_i_graph(g: Graph) -> Graph:
+    """The i-graph skeleton of g from the oracles alone."""
+    sets = brute_maximal_independent_sets(g)
+    best = min(s.bit_count() for s in sets)
+    return Graph._from_rows(brute_slide_rows(g, sorted(s for s in sets if s.bit_count() == best)))
 
 
 def test_enumeration_counts():
@@ -97,36 +108,76 @@ def test_diamond_has_no_seed_up_to_six():
 def test_scan_matches_bruteforce_oracle():
     # witnesses are one canonical graph per oracle class (labeled graphs
     # grouped by the all-permutations check) whose oracle i-graph is
-    # isomorphic to the target, in (n, canonical mask) order
-    targets = (cycle_graph(4), theta_graph(1, 2, 3))
+    # isomorphic to the target, in (n, canonical mask) order; the targets
+    # are the ten corroborate targets and the oracle i-graph of every class
+    # on <= 4 vertices (C4, the i-graph of 2K2, among them)
     classes = [g for n in range(1, 6) for g in brute_classes(n)]
     assert len(classes) == 52
-    expected = {t: [] for t in targets}
-    for g in classes:
-        sets = brute_maximal_independent_sets(g)
-        best = min(s.bit_count() for s in sets)
-        isets = sorted(s for s in sets if s.bit_count() == best)
-        skel = Graph._from_rows(brute_slide_rows(g, isets))
-        for t in targets:
-            if brute_is_isomorphic(skel, t):
-                expected[t].append(g)
-    for t in targets:
-        rep = scan_for_targets([t], 5)[0]
-        assert expected[t]
-        assert len(rep.witnesses) == len(expected[t])
+    assert [g.n for g in classes[:19]] == [1, 2, 2] + [3] * 4 + [4] * 11 + [5]
+    skeletons = [_brute_i_graph(g) for g in classes]
+    targets = CORROBORATE + skeletons[:18]
+    assert any(is_isomorphic(t, cycle_graph(4)) for t in targets)
+    reports = scan_for_targets(targets, 5)
+    for i, (t, rep) in enumerate(zip(targets, reports)):
+        expected = [g for g, skel in zip(classes, skeletons) if brute_is_isomorphic(skel, t)]
+        # the two controls and every class's own i-graph have a seed here
+        assert bool(expected) is (i >= 8)
+        assert len(rep.witnesses) == len(expected)
         for w in rep.witnesses:
             assert canonical_key(w) == (w.n, w._edge_mask())
-            assert sum(brute_is_isomorphic(w, g) for g in expected[t]) == 1
-        for g in expected[t]:
+            assert sum(brute_is_isomorphic(w, g) for g in expected) == 1
+        for g in expected:
             assert any(brute_is_isomorphic(w, g) for w in rep.witnesses)
         order = [(w.n, w._edge_mask()) for w in rep.witnesses]
         assert order == sorted(order)
         assert rep.graphs_examined == len(classes)
 
 
-def test_parallel_scan_matches_serial():
-    # the pool ships all ten targets to its workers
+def test_only_a_class_whose_i_set_count_is_a_target_order_builds_a_slide_graph(monkeypatch):
+    # 57 of the 208 classes on <= 6 vertices have an i-set count that one of
+    # the ten corroborate targets has as its order; no class on <= 4
+    # vertices has five i-sets
+    import islide.search
+
+    real = islide.search.build_slide_graph
+    built = []
+
+    def counted(g, family):
+        built.append(g)
+        return real(g, family)
+
+    monkeypatch.setattr(islide.search, "build_slide_graph", counted)
+    reports = scan_for_targets(CORROBORATE, max_n=6)
+    assert reports[0].graphs_examined == 208
+    assert len(built) == 57
+    built.clear()
+    rep = scan_for_targets([cycle_graph(5)], max_n=4)[0]
+    assert rep.graphs_examined == 18 and not rep.found
+    assert built == []
+
+
+def test_a_warm_scan_starts_no_pool(monkeypatch):
+    # every level to 6 is stored after the first scan, so two jobs test the
+    # classes in this process
+    import dataclasses
+    import multiprocessing
+
+    serial = scan_for_targets(TEN_TARGETS, max_n=6)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a warm scan started a pool")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    parallel = scan_for_targets(TEN_TARGETS, max_n=6, jobs=2)
+    assert ([dataclasses.replace(r, elapsed=0) for r in parallel]
+            == [dataclasses.replace(r, elapsed=0) for r in serial])
+
+
+def test_parallel_scan_matches_serial(store):
+    # the pool ships all ten targets to its workers; it starts only for a
+    # level that is not stored, so the parallel scan starts cold
     serial = scan_for_targets(TEN_TARGETS, max_n=5, jobs=1)
+    store.clear()
     parallel = scan_for_targets(TEN_TARGETS, max_n=5, jobs=2)
     assert serial[0].found and serial[0].witnesses == serial[7].witnesses
     for a, b in zip(serial, parallel):
@@ -134,14 +185,16 @@ def test_parallel_scan_matches_serial():
         assert [w.adj for w in a.witnesses] == [w.adj for w in b.witnesses]
 
 
-def test_parallel_find_matches_serial():
+def test_parallel_find_matches_serial(store):
     # find-style scans stop early; the pool must stop after the same chunk
     for target in (cycle_graph(4), theta_graph(1, 2, 3), cycle_graph(5)):
         for connected_only in (False, True):
-            serial, parallel = (
-                scan_for_targets([target], 6, connected_only=connected_only, jobs=jobs,
-                                 stop_at_first=True)[0]
-                for jobs in (1, 2))
+            reports = []
+            for jobs in (1, 2):
+                store.clear()
+                reports.append(scan_for_targets([target], 6, connected_only=connected_only,
+                                                jobs=jobs, stop_at_first=True)[0])
+            serial, parallel = reports
             assert serial.found
             assert parallel.graphs_examined == serial.graphs_examined
             assert [w.adj for w in parallel.witnesses] == [w.adj for w in serial.witnesses]
@@ -235,12 +288,9 @@ def test_scan_labels_only_for_the_class_walk(labellings, store):
     # levels does, and a second scan reads the stored levels and labels nothing
     import dataclasses
 
-    targets = ([theta_graph(*spec) for spec in sorted(THETA_EXCEPTIONS)]
-               + [obstruction_t_graph(), house_graph(), cycle_graph(5)])
-    assert len(targets) == 10
-    cold = scan_for_targets(targets, max_n=6)
+    cold = scan_for_targets(CORROBORATE, max_n=6)
     scanned, labellings[0] = labellings[0], 0
-    warm = scan_for_targets(targets, max_n=6)
+    warm = scan_for_targets(CORROBORATE, max_n=6)
     assert labellings[0] == 0
     assert ([dataclasses.replace(r, elapsed=0) for r in warm]
             == [dataclasses.replace(r, elapsed=0) for r in cold])
@@ -446,7 +496,7 @@ def test_verify_table_reports_a_witness_as_fatal(monkeypatch):
         f"FATAL: witness found for claimed non-realizable target {to_graph6(theta_graph(1, 2, 2))}",)
 
 
-def test_scan_starts_no_more_workers_than_cpus(monkeypatch):
+def test_scan_starts_no_more_workers_than_cpus(monkeypatch, store):
     import multiprocessing
     import os
     started = []
@@ -468,6 +518,7 @@ def test_scan_starts_no_more_workers_than_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     serial = scan_for_targets([house_graph()], 5)
     assert started == [] and serial[0].found
+    store.clear()
     wide = scan_for_targets([house_graph()], 5, jobs=100000)
     assert started == [2]
     assert wide[0].witnesses == serial[0].witnesses
