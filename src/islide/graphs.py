@@ -177,7 +177,8 @@ class Graph:
         Returns the new graph and the list of original vertex indices, in
         the order they were relabeled to 0, 1, ...
         """
-        if mask < 0 or mask >> self.n:
+        _check_int("mask", mask, 0)
+        if mask >> self.n:
             raise InvalidParameterError(f"mask {mask:#x} names vertices outside 0..{self.n - 1}")
         keep = list(bits(mask))
         if not keep:

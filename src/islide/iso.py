@@ -25,13 +25,16 @@ with the labelling; together they generate the automorphism group, and the
 class scan in ``search`` labels one extension per orbit of them.
 
 Refinement re-sorts only the vertices next to a vertex whose color just
-changed, and splits a cell with one such vertex without sorting.  A child's
-first round needs no sorting either: its parent's partition is stable, so
-every vertex of a cell X has as many neighbours in the cell of the
-individualized vertex w, and individualizing w changes its tuple only by
-whether w is one of them.  The round therefore splits X into X ∩ N(w),
-keeping X's color, followed by X − N(w), and it is made directly from w's
-row.  A leaf's key is read from the edge list of g, built once per walk.
+changed, and splits a cell with one such vertex without sorting.  The
+first round of a node needs no sorting at all.  At the root every vertex's
+tuple is its degree many zeros, so the round orders the vertices stably by
+degree, the partition McKay and Piperno start from, and it is made directly
+from the degrees.  At a child, the parent's partition is stable, so every
+vertex of a cell X has as many neighbours in the cell of the individualized
+vertex w, and individualizing w changes its tuple only by whether w is one
+of them.  The round therefore splits X into X ∩ N(w), keeping X's color,
+followed by X − N(w), and it is made directly from w's row.  A leaf's key
+is read from the edge list of g, built once per walk.
 Highly symmetric graphs stay cheap (Q5 and 4·C4 take milliseconds), since
 the leaves visited grow with the automorphisms found, not with the order of
 the automorphism group; the worst case is still exponential.
@@ -159,6 +162,35 @@ def _individualize(adj: list[int], color: list[int], cend: list[int], cell: list
             child[v] = x + c
             moved.append(v)
     return child, child_cend, moved
+
+
+def _degree_partition(nbrs: list[list[int]]) -> tuple[list[int], list[int], list[int]]:
+    """The root's first refinement round, made directly: ``(color, cend,
+    moved)`` to hand to ``_refine``.
+
+    From the unit partition with every vertex moved, ``_refine``'s first
+    round gives each vertex the tuple of its degree many zeros, so it orders
+    the vertices stably by degree.  The lowest-degree group keeps color 0
+    (isolated vertices stay first, a regular graph stays one cell) and every
+    other group takes its start position and is what moved.
+    """
+    n = len(nbrs)
+    degree = [len(vs) for vs in nbrs]
+    color = [0] * n
+    cend = [0] * n
+    moved = []
+    start = 0
+    low = min(degree)
+    for i, v in enumerate(sorted(range(n), key=degree.__getitem__)):
+        d = degree[v]
+        if d != low:
+            cend[start] = i
+            start, low = i, d
+        if start:
+            color[v] = start
+            moved.append(v)
+    cend[start] = n
+    return color, cend, moved
 
 
 def _twins(adj: list[int]) -> list[tuple[list[int], int]]:
@@ -306,10 +338,7 @@ def _walk(g: Graph, trail: list | None = None) -> tuple[int, list[int], list[lis
                 return back
         return depth - 1
 
-    cend = [0] * n
-    cend[0] = n
-    # every vertex counts as moved at the root: isolated ones (empty tuple) stay first
-    descend([], 0, [0] * n, cend, list(range(n)))
+    descend([], 0, *_degree_partition(nbrs))
     if best is None:
         # the root already differs from the trail
         return -1, [], []

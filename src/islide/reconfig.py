@@ -68,9 +68,11 @@ def build_slide_graph(g: Graph, family: list[int]) -> SlideGraph:
         raise CapacityError(f"{len(nodes)} sets exceed the slide graph capacity of "
                             f"{MAX_SLIDE_NODES}: its rows would take "
                             f"{len(nodes) ** 2 >> 23} MiB")
-    size = nodes[0].bit_count()
+    size = nodes[0].bit_count() if type(nodes[0]) is int else None   # a non-int raises below
     full = g.full_mask()
     for s in nodes:
+        if type(s) is not int:
+            raise InvalidParameterError(f"set {s!r} is not an int")
         if s & ~full:
             raise InvalidParameterError("set uses vertices outside the graph")
         if s.bit_count() != size:

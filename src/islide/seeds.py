@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, NamedTuple
 
 from .errors import DeletionPreconditionError, InvalidParameterError
@@ -113,7 +114,12 @@ _Edges = list[tuple[str, str]]
 _Triples = dict[str, tuple[str, ...]]
 
 
+@cache
 def _name_key(name: str) -> tuple[int, int]:
+    """Sort key of a draft vertex name: the hub w0, then w, u, v and z
+    names by number, a primed name right after its unprimed one.  Cached,
+    since every draft reuses the same few names; an unexpected name is
+    never cached and raises on every call."""
     if name == "w0":
         return (0, 0)
     m = re.fullmatch(r"([wuvz])(\d*)('?)", name)
@@ -127,12 +133,13 @@ def _name_key(name: str) -> tuple[int, int]:
 def _freeze(rim: list[str], extra: _Edges) -> tuple[Graph, dict[str, int]]:
     """The hub w0 joined to every rim vertex, the rim cycle and the extra
     edges as a Graph, vertices in _name_key order so seed output is
-    byte-stable.  A repeated edge raises in Graph."""
+    byte-stable.  The edges go to Graph as the draft lists them: its rows
+    are bitmasks, so their order does not matter, and an edge repeated in
+    either orientation raises there."""
     pairs = [("w0", r) for r in rim] + list(zip(rim, rim[1:] + rim[:1])) + extra
     order = sorted({v for pair in pairs for v in pair}, key=_name_key)
     names = {name: i for i, name in enumerate(order)}
-    edges = sorted((min(names[a], names[b]), max(names[a], names[b])) for a, b in pairs)
-    return Graph(len(order), edges), names
+    return Graph(len(order), [(names[a], names[b]) for a, b in pairs]), names
 
 
 def _wheel_side_labels(rim: list[str], y: tuple[str, str]) -> _Triples:
@@ -542,8 +549,10 @@ def apply_deletion(gbar: Graph, t: int) -> Graph:
 
     The new vertex lies outside every other maximal independent set and
     extends t to one of size i + 1.  t must be an i-set of G, and at least
-    one other i-set must remain.
+    one other i-set must remain.  A t that is not an int, or a bool or
+    negative one, raises InvalidParameterError.
     """
+    _check_int("t", t, 0)
     if t & ~gbar.full_mask():
         raise DeletionPreconditionError("target uses vertices outside the graph")
     report = independence_report(gbar.complement())

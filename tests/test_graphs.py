@@ -134,6 +134,14 @@ def test_induced_rejects_masks_outside_graph():
     assert keep == [0, 2] and sub.edge_count() == 0
 
 
+def test_induced_mask_must_be_an_int():
+    # True used to induce the one-vertex graph on vertex 0, and 1.0 to fail
+    # with a bare TypeError
+    for bad in (True, 1.0):
+        with pytest.raises(InvalidParameterError, match="not an int"):
+            path_graph(3).induced(bad)
+
+
 @pytest.mark.parametrize("perm", [
     [0, 0, 2],      # a repeated value
     [0, 1, 3],      # a value >= n

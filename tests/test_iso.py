@@ -160,6 +160,55 @@ def test_direct_first_round_matches_refining_the_individualized_cell():
     assert checked == 6727
 
 
+def _check_degree_partition(g):
+    # the direct root round, refined, must give what _refine makes of the
+    # unit partition with every vertex moved; unrefined, each vertex's color
+    # is the number of vertices of smaller degree and its cell ends after
+    # those of equal degree
+    n = g.n
+    nbrs = [list(bits(row)) for row in g.adj]
+    want_color, want_cend = [0] * n, [0] * n
+    want_cend[0] = n
+    iso._refine(nbrs, g.adj, want_color, want_cend, list(range(n)))
+    color, cend, moved = iso._degree_partition(nbrs)
+    degree = [len(vs) for vs in nbrs]
+    for v in range(n):
+        assert color[v] == sum(d < degree[v] for d in degree)
+        assert cend[color[v]] == sum(d <= degree[v] for d in degree)
+    assert sorted(moved) == [v for v in range(n) if color[v]]
+    iso._refine(nbrs, g.adj, color, cend, moved)
+    assert (color, cend) == (want_color, want_cend), g.edges()
+
+
+def test_degree_partition_matches_refining_the_unit_partition():
+    checked = 0
+    for n in range(1, 6):
+        for mask in range(1 << n * (n - 1) // 2):
+            _check_degree_partition(Graph._from_mask(n, mask))
+            checked += 1
+    assert checked == 1099
+
+
+@settings(deadline=None)
+@given(st.integers(1, 9), st.integers(0, 3), st.booleans(), st.integers(0, 2**32), st.floats(0, 1))
+def test_degree_partition_matches_refining_the_unit_partition_property(n, isolated, regular,
+                                                                       seed, p):
+    # up to 12 vertices: a random or a circulant (regular) graph on n, plus
+    # `isolated` isolated vertices, relabelled
+    rng = random.Random(seed)
+    if regular:
+        rows = [0] * n
+        for d in range(1, n // 2 + 1):
+            if rng.random() < p:
+                for v in range(n):
+                    rows[v] |= 1 << (v + d) % n | 1 << (v - d) % n
+        g = Graph._from_rows(rows)
+    else:
+        g = random_graph(rng, n, p)
+    g = disjoint_union(g, Graph(isolated)) if isolated else g
+    _check_degree_partition(g.relabel(random_permutation(rng, g.n)))
+
+
 def test_twin_transpositions_fix_the_graph():
     # (u v) is an automorphism exactly when u and v are twins, so the
     # transpositions must join exactly the pairs whose swap fixes g

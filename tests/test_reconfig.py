@@ -88,6 +88,15 @@ def test_mixed_cardinalities_rejected():
         build_slide_graph(g, [mask_of([0, 4])])
 
 
+def test_slide_graph_sets_must_be_ints():
+    # [True] used to give a slide graph whose one node was True, and [1.5]
+    # to fail with a bare AttributeError
+    g = path_graph(4)
+    for family in ([True], [1.5], [mask_of([0, 2]), True], [mask_of([0, 2]), 6.0]):
+        with pytest.raises(InvalidParameterError, match="is not an int"):
+            build_slide_graph(g, family)
+
+
 def test_move_labels_are_slides():
     sg = i_graph(cycle_graph(5))
     for a, b, x, y in sg.edges:

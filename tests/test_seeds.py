@@ -32,7 +32,7 @@ from islide import (
 )
 
 import islide.iso
-from islide.seeds import _ARMS, ClauseResult, _build, check_seed, verify_table
+from islide.seeds import _ARMS, ClauseResult, _build, _freeze, _name_key, check_seed, verify_table
 from bruteforce import random_graph, reference_check_seed
 
 
@@ -151,6 +151,27 @@ def test_seed_construction_is_byte_stable():
     first = to_graph6(build_theta_seed_complement(3, 4, 6).gbar)
     second = to_graph6(build_theta_seed_complement(3, 4, 6).gbar)
     assert first == second
+
+
+def test_freeze_rejects_an_edge_repeated_in_either_orientation():
+    rim = ["w1", "w2", "w3"]
+    # w1-w2 is a rim edge already; v1-w1 is repeated among the extra edges
+    for extra in ([("w1", "w2")], [("w2", "w1")], [("v1", "w1"), ("v1", "w1")],
+                  [("v1", "w1"), ("w1", "v1")]):
+        with pytest.raises(InvalidParameterError, match="duplicate edge"):
+            _freeze(rim, extra)
+    gbar, names = _freeze(rim, [("v1", "w1")])
+    assert list(names) == ["w0", "w1", "w2", "w3", "v1"]
+    assert gbar.edges() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 3)]
+
+
+def test_name_key_raises_on_an_unexpected_name_on_every_call():
+    assert [_name_key(v) for v in ("w0", "w3", "u1", "v2", "z", "z'")] == [
+        (0, 0), (1, 6), (2, 2), (3, 4), (4, 0), (4, 1)]
+    for name in ("x1", "w1''", "W1"):
+        for _ in range(2):
+            with pytest.raises(InvalidParameterError, match="unexpected vertex name"):
+                _name_key(name)
 
 
 def test_1kl_seed_matches_hand_transcription():
@@ -367,6 +388,14 @@ def test_apply_deletion_preconditions():
     # the complement of K_3 is edgeless, and its one i-set is all three vertices
     with pytest.raises(DeletionPreconditionError, match="only i-set"):
         apply_deletion(complete_graph(3), 0b111)
+
+
+def test_apply_deletion_rejects_a_target_that_is_not_an_int():
+    # a float used to fail with a bare TypeError, and True to pass as vertex 0
+    gbar = build_theta_seed_complement(1, 4, 5).gbar
+    for bad in (1.0, True, "7"):
+        with pytest.raises(InvalidParameterError, match=f"t {bad!r} is not an int"):
+            apply_deletion(gbar, bad)
 
 
 def _check_deletion(g, idx):
