@@ -11,14 +11,13 @@ import sys
 from pathlib import Path
 
 from islide import (
-    THETA_EXCEPTIONS,
     build_theta_seed_complement,
     i_graph,
     slide_graph_to_dot,
     theta_specs_up_to,
     to_graph6,
-    verify_theta_seed,
 )
+from islide.seeds import check_seed
 
 MAX_ORDER = 12
 
@@ -29,11 +28,11 @@ def main() -> int:
     lines = []
     failed = 0
     for spec in theta_specs_up_to(MAX_ORDER):
-        jkl = spec.as_tuple()
-        if jkl in THETA_EXCEPTIONS:
-            print(f"{spec}: exception ({THETA_EXCEPTIONS[jkl]})")
+        result = build_theta_seed_complement(*spec.as_tuple())
+        if not result.is_realizable:
+            print(f"{spec}: exception ({result.reason})")
             continue
-        verification = verify_theta_seed(*jkl)
+        verification = check_seed(result)
         failed += not verification.passed
         status = "ok" if verification.passed else "FAILED"
         print(f"{spec}: {verification.construction_id} {status}")

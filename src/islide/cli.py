@@ -93,7 +93,7 @@ def cmd_compute(args) -> int:
 
 def cmd_seed(args) -> int:
     result = build_theta_seed_complement(args.j, args.k, args.l)
-    if result.verdict == "not_realizable":
+    if not result.is_realizable:
         print(f"not realizable: exception {result.reason}")
         return EXIT_VERDICT
     gbar = result.gbar

@@ -47,13 +47,20 @@ def maximal_independent_sets(g: Graph, cap: int = DEFAULT_SET_CAP) -> list[int]:
 
 @dataclass(frozen=True)
 class IndependenceReport:
-    """i(G), alpha(G) and the corresponding set families (bitmask lists)."""
+    """The i-set and alpha-set families (sorted bitmasks); i(G) and
+    alpha(G) are read from them."""
 
-    i: int
-    alpha: int
     i_sets: tuple[int, ...]
     alpha_sets: tuple[int, ...]
     total_mis_count: int
+
+    @property
+    def i(self) -> int:
+        return self.i_sets[0].bit_count()
+
+    @property
+    def alpha(self) -> int:
+        return self.alpha_sets[0].bit_count()
 
     @property
     def well_covered(self) -> bool:
@@ -72,5 +79,5 @@ def independence_report(g: Graph, cap: int = DEFAULT_SET_CAP) -> IndependenceRep
     i_sets = _minimum_sets(sets)
     alpha = max(map(int.bit_count, sets))
     alpha_sets = tuple(sorted(s for s in sets if s.bit_count() == alpha))
-    return IndependenceReport(i_sets[0].bit_count(), alpha, tuple(i_sets), alpha_sets, len(sets))
+    return IndependenceReport(tuple(i_sets), alpha_sets, len(sets))
 

@@ -26,8 +26,9 @@ the theta graph) and G_334 (a fixed 9-vertex seed) are the two rows not
 drafted from a wheel.
 
 ``build_theta_seed_complement(j, k, l)`` builds the first arm covering the
-triple, and a bad triple raises from ``ThetaSpec``: ``InvalidThetaSpecError``
-when malformed, ``CapacityError`` above 64 vertices.
+triple, so the table alone decides realizability (a test checks the specs no
+arm covers against the paper's list, ``THETA_EXCEPTIONS``); a bad triple raises
+``InvalidThetaSpecError`` when malformed, ``CapacityError`` above 64 vertices.
 """
 from __future__ import annotations
 
@@ -96,14 +97,17 @@ class ConstructionTrace:
 
 @dataclass(frozen=True)
 class SeedResult:
-    verdict: str  # "realizable" | "not_realizable"; a bad triple raises
-    gbar: Graph | None = None
+    gbar: Graph | None = None  # gbar and trace are None when no arm covers the spec
     trace: ConstructionTrace | None = None
     reason: str | None = None
 
     @property
     def is_realizable(self) -> bool:
-        return self.verdict == "realizable"
+        return self.trace is not None
+
+    @property
+    def verdict(self) -> str:
+        return "realizable" if self.is_realizable else "not_realizable"
 
 
 # -- wheel drafts --------------------------------------------------------
@@ -276,7 +280,7 @@ class _Arm(NamedTuple):
 # most specific first: applicable_constructions keeps this order and
 # build_theta_seed_complement takes its first match
 _ARMS: dict[str, _Arm] = {
-    "LINE_ROOT": _Arm(lambda j, k, l: j == 1 and k == 2, alpha=2),
+    "LINE_ROOT": _Arm(lambda j, k, l: j == 1 and k == 2 and l >= 3, alpha=2),
     "C_1kl": _Arm(lambda j, k, l: j == 1 and k >= 3, _draft_1kl),
     "C_22l_b": _Arm(lambda j, k, l: (j, k, l) == (2, 2, 5), _draft_22l, 4),
     "C_22l_a": _Arm(lambda j, k, l: (j, k) == (2, 2) and l >= 6, _draft_22l, 4),
@@ -326,14 +330,13 @@ def _build(arm: str, spec: ThetaSpec) -> SeedResult:
         expected_i=expected_i,
         expected_alpha=row.alpha,
     )
-    return SeedResult("realizable", gbar, trace)
+    return SeedResult(gbar, trace)
 
 
 def applicable_constructions(spec: ThetaSpec) -> list[str]:
-    """Construction arms covering a realizable spec, most specific first."""
+    """Construction arms covering spec, most specific first; empty exactly
+    when spec is one of the seven THETA_EXCEPTIONS."""
     jkl = spec.as_tuple()
-    if jkl in THETA_EXCEPTIONS:
-        return []
     return [arm for arm, row in _ARMS.items() if row.covers(*jkl)]
 
 
@@ -353,15 +356,14 @@ def theta_specs_up_to(max_order: int) -> list[ThetaSpec]:
 def build_theta_seed_complement(j: int, k: int, l: int) -> SeedResult:
     """Complement seed gbar for theta(j,k,l), built by the first arm of
     applicable_constructions; the caller complements it to get the seed G
-    itself.  The seven known exceptions come back as not_realizable.
-    ThetaSpec raises InvalidThetaSpecError on a malformed triple and
-    CapacityError on one above 64 vertices."""
+    itself.  A spec no arm covers comes back not realizable, with the
+    paper's reason from THETA_EXCEPTIONS.  ThetaSpec raises
+    InvalidThetaSpecError on a malformed triple, CapacityError above 64."""
     spec = ThetaSpec(j, k, l)
-    if spec.as_tuple() in THETA_EXCEPTIONS:
-        return SeedResult(
-            "not_realizable", reason=THETA_EXCEPTIONS[spec.as_tuple()]
-        )
-    return _build(applicable_constructions(spec)[0], spec)
+    arms = applicable_constructions(spec)
+    if not arms:
+        return SeedResult(reason=THETA_EXCEPTIONS[spec.as_tuple()])
+    return _build(arms[0], spec)
 
 
 # -- verification -------------------------------------------------------
@@ -508,8 +510,8 @@ class TableReport:
 
 def verify_table(max_total: int, corroborate_max_n: int = 7, jobs: int = 1) -> TableReport:
     """Check the realizability table for every theta graph on at most
-    max_total vertices: realizable specs must verify end to end, and each
-    exception must come back not-realizable and (when corroborate_max_n > 0)
+    max_total vertices, each built once: a seed must pass check_seed, and a
+    spec with no seed is an exception that (when corroborate_max_n > 0) must
     survive an exhaustive seed scan with zero witnesses; corroborate_max_n = 0
     skips the scan.  A max_total outside 4..26 (the smallest theta graph,
     θ(1,2,2), has 4 vertices, so a smaller bound would check nothing), a
@@ -522,15 +524,12 @@ def verify_table(max_total: int, corroborate_max_n: int = 7, jobs: int = 1) -> T
     entries: list[TableEntry] = []
     exception_targets: list[Graph] = []
     for spec in theta_specs_up_to(max_total):
-        j, k, l = spec.as_tuple()
-        if spec.as_tuple() in THETA_EXCEPTIONS:
-            res = build_theta_seed_complement(j, k, l)
-            ok = res.verdict == "not_realizable"
-            entries.append(TableEntry(spec.as_tuple(), "exception" if ok else "failed", None,
-                                      res.reason if ok else "expected a not-realizable verdict"))
+        result = build_theta_seed_complement(*spec.as_tuple())
+        if not result.is_realizable:
+            entries.append(TableEntry(spec.as_tuple(), "exception", None, result.reason))
             exception_targets.append(theta(spec))
             continue
-        verification = verify_theta_seed(j, k, l)
+        verification = check_seed(result)
         detail = "; ".join(f"{c.name}: {c.detail}" for c in verification.failures())
         entries.append(TableEntry(spec.as_tuple(), "verified" if verification.passed else "failed",
                                   verification.construction_id, detail))

@@ -89,10 +89,11 @@ def test_mixed_cardinalities_rejected():
 
 
 def test_slide_graph_sets_must_be_ints():
-    # [True] used to give a slide graph whose one node was True, and [1.5]
-    # to fail with a bare AttributeError
+    # [True] used to give a slide graph whose one node was True, [1.5] to
+    # fail with a bare AttributeError, and [5, 5.0] to pass as [5]
     g = path_graph(4)
-    for family in ([True], [1.5], [mask_of([0, 2]), True], [mask_of([0, 2]), 6.0]):
+    for family in ([True], [1.5], [mask_of([0, 2]), True], [mask_of([0, 2]), 6.0],
+                   [5, 5.0], [5.0, 5]):
         with pytest.raises(InvalidParameterError, match="is not an int"):
             build_slide_graph(g, family)
 

@@ -466,13 +466,13 @@ def test_verify_table_reports_a_failed_seed(monkeypatch):
     import islide.seeds
     from islide.seeds import ClauseResult
 
-    real = islide.seeds.verify_theta_seed
+    real = islide.seeds.check_seed
 
-    def tampered(j, k, l):
-        return dataclasses.replace(real(j, k, l),
+    def tampered(result):
+        return dataclasses.replace(real(result),
                                    clauses=(ClauseResult("i_value", False, "tampered"),))
 
-    monkeypatch.setattr(islide.seeds, "verify_theta_seed", tampered)
+    monkeypatch.setattr(islide.seeds, "check_seed", tampered)
     report = verify_table(6, corroborate_max_n=0)
     assert report.passed is False
     outcomes = {e.spec: e.outcome for e in report.entries}

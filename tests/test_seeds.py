@@ -82,6 +82,33 @@ def test_exceptions_not_realizable():
         assert applicable_constructions(ThetaSpec(*jkl)) == []
 
 
+def test_arm_table_leaves_out_exactly_the_papers_exceptions():
+    # the arm table alone decides realizability; the paper's list of seven
+    # is checked against it on every valid spec up to the 64-vertex capacity
+    specs = theta_specs_up_to(64)
+    assert len(specs) == 7736
+    for spec in specs:
+        assert (applicable_constructions(spec) == []) is (spec.as_tuple() in THETA_EXCEPTIONS), spec
+
+
+def test_verify_table_builds_each_seed_once_and_no_exception(monkeypatch):
+    import islide.seeds
+
+    built = []
+
+    def counted(arm, spec):
+        built.append(spec.as_tuple())
+        return _build(arm, spec)
+
+    monkeypatch.setattr(islide.seeds, "_build", counted)
+    report = verify_table(26, corroborate_max_n=0)
+    assert report.passed
+    assert len(built) == 543 and not set(built) & set(THETA_EXCEPTIONS)
+    assert [(e.spec, e.construction_id, e.detail)
+            for e in report.entries if e.outcome == "exception"] == [
+        (jkl, None, THETA_EXCEPTIONS[jkl]) for jkl in sorted(THETA_EXCEPTIONS)]
+
+
 SEED_ENTRY_POINTS = (build_theta_seed_complement, verify_theta_seed)
 
 
