@@ -1,40 +1,25 @@
 """Time seed building and the catalog's isomorphism tests of two checkouts
-in one process, interleaved call by call with the sides alternating which
-goes first, so that drift in the host's speed hits both alike:
+in one process with ``perf/interleave.py``:
 
     python3 perf/degree-root/twin.py PARENT CHANGE
 
-PARENT's package is copied to a temporary directory as ``islide_parent``.
 First prints, per side, the ``iso._refine`` calls (tree nodes) of one
-``verify_table(26, corroborate_max_n=0)``.  Then, with the collector off,
-prints per job each side's median time and the median and quartiles of the
-per-round ratio change / parent.  Jobs: building the 543 realizable seeds
-of order <= 26; the ``is_isomorphic`` calls ``check_seed`` makes on them
-(each i-graph skeleton against its theta graph, and each alpha-graph
-skeleton of a seed that is not well covered), on skeletons built once; and
-the whole catalog pass, ``verify_table(26, corroborate_max_n=0)``.
+``verify_table(26, corroborate_max_n=0)``.  Then times three jobs: building
+the 543 realizable seeds of order <= 26; the ``is_isomorphic`` calls
+``check_seed`` makes on them (each i-graph skeleton against its theta graph,
+and each alpha-graph skeleton of a seed that is not well covered), on
+skeletons built once; and the whole catalog pass, ``verify_table(26,
+corroborate_max_n=0)``.
 """
-import gc
-import shutil
-import statistics
 import sys
-import tempfile
-import time
 from pathlib import Path
 
-parent, change = (Path(p).resolve() for p in sys.argv[1:3])
-tmp = Path(tempfile.mkdtemp())
-shutil.copytree(parent / "src" / "islide", tmp / "islide_parent")
-sys.path[:0] = [str(change / "src"), str(tmp)]
-import islide  # noqa: E402
-import islide.iso  # noqa: E402
-import islide.seeds  # noqa: E402
-import islide_parent  # noqa: E402
-import islide_parent.iso  # noqa: E402
-import islide_parent.seeds  # noqa: E402
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+import interleave  # noqa: E402
 
 
-def refine_calls(s, iso):
+def refine_calls(s):
+    iso = s.iso
     real = iso._refine
     calls = [0]
 
@@ -70,22 +55,7 @@ def jobs(s):
     }
 
 
-print(f"_refine calls per catalog pass\tparent {refine_calls(islide_parent, islide_parent.iso)}"
-      f"\tchange {refine_calls(islide, islide.iso)}", flush=True)
-sides = [jobs(islide_parent), jobs(islide)]
-gc.disable()
-for name, (rounds, _) in sides[0].items():
-    times = ([], [])
-    for r in range(rounds):
-        for side in ((0, 1) if r % 2 == 0 else (1, 0)):
-            t = time.perf_counter()
-            sides[side][name][1]()
-            times[side].append(time.perf_counter() - t)
-    ratios = [c / p for p, c in zip(*times)]
-    q1, med, q3 = statistics.quantiles(ratios, n=4)
-    wins = sum(r < 1 for r in ratios)
-    print(f"{name}\trounds {rounds}\tparent {statistics.median(times[0]) * 1e3:.2f} ms"
-          f"\tchange {statistics.median(times[1]) * 1e3:.2f} ms"
-          f"\tchange/parent median {med:.3f}\tquartiles {q1:.3f} {q3:.3f}"
-          f"\tchange faster in {wins}/{rounds}", flush=True)
-shutil.rmtree(tmp)
+parent, change = interleave.load(*sys.argv[1:3])
+print(f"_refine calls per catalog pass\tparent {refine_calls(parent)}"
+      f"\tchange {refine_calls(change)}", flush=True)
+interleave.run(jobs(parent), jobs(change))

@@ -1,33 +1,18 @@
-"""Time the catalog's calls of two checkouts in one process, interleaved
-pass by pass with the sides alternating which goes first, so that drift in
-the host's speed hits both alike:
+"""Time the catalog's calls of two checkouts in one process with
+``perf/interleave.py``:
 
     python3 perf/one-route/twin.py PARENT CHANGE
 
-PARENT's package is copied to a temporary directory as ``islide_parent``.
-With the collector off, prints per job each side's median time and the
-median and quartiles of the per-round ratio change / parent.  Jobs: one
-pass of the benchmark's catalog calls (``build_theta_seed_complement`` on
-the 7 exceptions, ``verify_theta_seed`` on the 543 realizable specs of
-order <= 26), ``build_theta_seed_complement`` alone on all 550 specs, and
-``verify_table(26, corroborate_max_n=0)``.
+Jobs: one pass of the benchmark's catalog calls
+(``build_theta_seed_complement`` on the 7 exceptions, ``verify_theta_seed``
+on the 543 realizable specs of order <= 26), ``build_theta_seed_complement``
+alone on all 550 specs, and ``verify_table(26, corroborate_max_n=0)``.
 """
-import gc
-import shutil
-import statistics
 import sys
-import tempfile
-import time
 from pathlib import Path
 
-parent, change = (Path(p).resolve() for p in sys.argv[1:3])
-tmp = Path(tempfile.mkdtemp())
-shutil.copytree(parent / "src" / "islide", tmp / "islide_parent")
-sys.path[:0] = [str(change / "src"), str(tmp)]
-import islide  # noqa: E402
-import islide.seeds  # noqa: E402
-import islide_parent  # noqa: E402
-import islide_parent.seeds  # noqa: E402
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+import interleave  # noqa: E402
 
 
 def jobs(s):
@@ -50,20 +35,5 @@ def jobs(s):
     }
 
 
-sides = [jobs(islide_parent), jobs(islide)]
-gc.disable()
-for name, (rounds, _) in sides[0].items():
-    times = ([], [])
-    for r in range(rounds):
-        for side in ((0, 1) if r % 2 == 0 else (1, 0)):
-            t = time.perf_counter()
-            sides[side][name][1]()
-            times[side].append(time.perf_counter() - t)
-    ratios = [c / p for p, c in zip(*times)]
-    q1, med, q3 = statistics.quantiles(ratios, n=4)
-    wins = sum(r < 1 for r in ratios)
-    print(f"{name}\trounds {rounds}\tparent {statistics.median(times[0]) * 1e3:.2f} ms"
-          f"\tchange {statistics.median(times[1]) * 1e3:.2f} ms"
-          f"\tchange/parent median {med:.3f}\tquartiles {q1:.3f} {q3:.3f}"
-          f"\tchange faster in {wins}/{rounds}", flush=True)
-shutil.rmtree(tmp)
+parent, change = interleave.load(*sys.argv[1:3])
+interleave.run(jobs(parent), jobs(change))

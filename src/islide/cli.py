@@ -86,7 +86,7 @@ def cmd_compute(args) -> int:
     g = _read_graph(args)
     rep = independence_report(g, cap=args.cap)
     family = rep.alpha_sets if args.alpha else rep.i_sets
-    sg = build_slide_graph(g, list(family))
+    sg = build_slide_graph(g, family)
     _print_slide_graph(sg, rep, args.format)
     return EXIT_OK
 
@@ -138,7 +138,7 @@ def cmd_lemmas(args) -> int:
     for label, g, shape, want in checks:
         # well covered: the alpha-sets are the i-sets, so the alpha-graph is the i-graph
         rep = independence_report(g)
-        sg = build_slide_graph(g, list(rep.i_sets))
+        sg = build_slide_graph(g, rep.i_sets)
         ok = rep.well_covered and is_isomorphic(sg.skeleton, want)
         failures += not ok
         print(f"{'pass' if ok else 'FAIL'} {label}: i-graph and alpha-graph ~ {shape}")
@@ -177,7 +177,7 @@ def cmd_search(args) -> int:
 def _print_seed_summary(seed: Graph) -> Graph:
     """Print the seed's graph6 and i-set counts; return its i-graph skeleton."""
     rep = independence_report(seed)
-    skeleton = build_slide_graph(seed, list(rep.i_sets)).skeleton
+    skeleton = build_slide_graph(seed, rep.i_sets).skeleton
     print(f"seed graph6: {to_graph6(seed)}")
     print(f"i={rep.i} alpha={rep.alpha} i-sets={len(rep.i_sets)}")
     return skeleton

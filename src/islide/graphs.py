@@ -202,7 +202,8 @@ class Graph:
         except (TypeError, ValueError):
             image = None
         # n powers of two sum to 2^n - 1 only when they are the n bits below n
-        if image is None or len(image) != n or sum(image) != (1 << n) - 1:
+        if (image is None or len(image) != n or sum(image) != (1 << n) - 1
+                or any(type(p) is not int for p in perm)):   # 1 << True is 2
             raise InvalidParameterError(f"relabel needs a permutation of range({n}), got {perm!r}")
         rows = [0] * n
         for v, old in enumerate(self.adj):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 from .errors import CapacityError, FormatError, GraphError, InvalidParameterError
 from .formats import to_dot
@@ -49,7 +50,7 @@ class SlideGraph:
                      for a, b in self.skeleton.edges())
 
 
-def build_slide_graph(g: Graph, family: list[int]) -> SlideGraph:
+def build_slide_graph(g: Graph, family: Iterable[int]) -> SlideGraph:
     """Slide graph over an explicit family of equal-size vertex subsets of g.
 
     Two sets slide into each other when they differ in one vertex on each
@@ -61,6 +62,7 @@ def build_slide_graph(g: Graph, family: list[int]) -> SlideGraph:
     comparisons.  A family of more than ``MAX_SLIDE_NODES`` distinct sets
     raises CapacityError before any row is built.
     """
+    family = tuple(family)   # read once: a generator is empty on a second pass
     for s in family:   # before deduplication, which would absorb 5.0 into 5
         if type(s) is not int:
             raise InvalidParameterError(f"set {s!r} is not an int")
@@ -106,7 +108,7 @@ def i_graph(g: Graph) -> SlideGraph:
 
 
 def alpha_graph(g: Graph) -> SlideGraph:
-    return build_slide_graph(g, list(independence_report(g).alpha_sets))
+    return build_slide_graph(g, independence_report(g).alpha_sets)
 
 
 # -- structural checks -------------------------------------------------

@@ -424,7 +424,7 @@ def check_seed(result: SeedResult) -> SeedVerification:
             f"i(G)={report.i}, expected {trace.expected_i}",
         )
     )
-    sg = build_slide_graph(g, list(report.i_sets))
+    sg = build_slide_graph(g, report.i_sets)
     clauses.append(
         ClauseResult(
             "i_graph_order",
@@ -455,7 +455,7 @@ def check_seed(result: SeedResult) -> SeedVerification:
         a_match = i_match
     else:
         a_match = is_isomorphic(
-            build_slide_graph(g, list(report.alpha_sets)).skeleton, target)
+            build_slide_graph(g, report.alpha_sets).skeleton, target)
     if trace.alpha_equal:
         clauses.append(
             ClauseResult(

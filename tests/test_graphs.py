@@ -230,3 +230,10 @@ def test_connectivity_and_bipartite():
     assert fan_graph(3).is_connected()
     assert complete_graph(3).has_triangle()
     assert not cycle_graph(4).has_triangle()
+
+
+def test_relabel_rejects_bool_entries():
+    # 1 << True is 2: without a type check [True, False] passes as the swap [1, 0]
+    for perm in ([True, False], [0, True], [1, False]):
+        with pytest.raises(InvalidParameterError):
+            path_graph(2).relabel(perm)

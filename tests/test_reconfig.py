@@ -98,6 +98,13 @@ def test_slide_graph_sets_must_be_ints():
             build_slide_graph(g, family)
 
 
+def test_slide_graph_reads_a_generator_family():
+    # a family read twice would reach the second pass empty from a generator
+    g = cycle_graph(5)
+    sets = independence_report(g).i_sets
+    assert build_slide_graph(g, (s for s in sets)) == build_slide_graph(g, sets)
+
+
 def test_move_labels_are_slides():
     sg = i_graph(cycle_graph(5))
     for a, b, x, y in sg.edges:
